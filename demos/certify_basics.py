@@ -3,8 +3,9 @@ Exact certification on small polynomials
 ========================================
 
 Everything below runs in exact arithmetic: integer Sturm sequences for
-counting real roots, rational bisection for isolating them, and the
-greedy alternation check for interlacing.  No floats anywhere.
+counting real roots, rational bisection for isolating them, and a Cauchy
+index read off an integer remainder sequence for interlacing.  No floats
+anywhere.
 """
 
 from chainpoly import (

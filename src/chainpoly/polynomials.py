@@ -244,20 +244,23 @@ def primitive_part(p: Poly) -> Poly:
 
 
 def _poly_rem(a: Poly, b: Poly) -> Poly:
-    """Remainder of a by b over Q; b must be nonzero."""
+    """Remainder of integer a by nonzero integer b, times a positive integer
+    so that it stays integral and keeps the signs Sturm chains read."""
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a.coeffs)
-    bc = b.coeffs
+    bc = b.coeffs if b.coeffs[-1] > 0 else (-b).coeffs
+    lead = bc[-1]
     db = len(bc) - 1
-    inv_lead = Fraction(1, 1) / Fraction(bc[-1])
+    rem = list(a.coeffs)
     for i in range(len(rem) - 1, db - 1, -1):
-        if rem[i] == 0:
+        c = rem[i]
+        if c == 0:
             continue
-        factor = rem[i] * inv_lead
+        for k in range(i):
+            rem[k] *= lead
         rem[i] = 0
         for j in range(db):
-            rem[i - db + j] -= factor * bc[j]
+            rem[i - db + j] -= c * bc[j]
     return Poly(rem)
 
 

@@ -147,7 +147,8 @@ class Poset:
 
     def subposet(self, keep: Iterable) -> "Poset":
         """Induced subposet on the given elements, covers recomputed."""
-        keep_list = [x for x in self._elements if x in set(keep)]
+        keep = set(keep)
+        keep_list = [x for x in self._elements if x in keep]
         idx = [self._index[x] for x in keep_list]
         rel = {i: self._up[i] for i in idx}
         covers = []
@@ -483,8 +484,13 @@ def load_poset(path: str):
     covers = data["covers"]
     if not isinstance(elements, list):
         raise PosetFileError('"elements" must be a list')
+    # JSON arrays and objects are unhashable, so they cannot name elements.
+    if any(isinstance(x, (list, dict)) for x in elements):
+        raise PosetFileError('"elements" must hold strings or integers')
     if not isinstance(covers, list) or not all(
-        isinstance(c, list) and len(c) == 2 for c in covers
+        isinstance(c, list) and len(c) == 2
+        and not any(isinstance(x, (list, dict)) for x in c)
+        for c in covers
     ):
         raise PosetFileError('"covers" must be a list of [lower, upper] pairs')
     cover_pairs = [(a, b) for a, b in covers]
@@ -500,6 +506,8 @@ def load_poset(path: str):
             ranks = {index[k]: int(v) for k, v in ranks.items()}
         except KeyError as exc:
             raise PosetFileError("rank given for unknown element %s" % exc) from None
+        except (TypeError, ValueError, OverflowError):
+            raise PosetFileError('"ranks" values must be integers') from None
     try:
         try:
             return GradedBoundedPoset(elements, cover_pairs, bottom=bottom, ranks=ranks)

@@ -1,20 +1,21 @@
 """Exact real-rootedness and interlacing certificates.
 
-Everything here runs over Z and Q only.  Real-rootedness of p is decided
-on the squarefree part sf = p / gcd(p, p'): p has all roots real exactly
-when the Sturm chain of sf counts deg(sf) distinct real roots between
--inf and +inf.  Root isolation refines Cauchy-bound intervals by rational
-bisection, landing exactly on rational roots when a midpoint happens to
-hit one.
+Everything here runs over Z and Q only.  Every decision reads the sign
+variations V of one integer remainder sequence f0, f1, -rem(f0, f1), ...
+with primitive members and positive rescaling only; by Sturm's theorem
+V(-inf) - V(+inf) is the Cauchy index of f1/f0.  For the Sturm chain
+p, p', ..., gcd(p, p') that index counts the distinct real roots of p,
+and p is real-rooted exactly when it equals deg(p) - deg(gcd(p, p')).
+Root isolation refines Cauchy-bound intervals by rational bisection,
+landing exactly on rational roots when a midpoint happens to hit one.
 
 Interlacing p <= q (every root of q weakly separated by a root of p,
-largest root of q outermost) is decided without ever comparing two
-algebraic numbers from different polynomials: the distinct roots of p*q
-are isolated once, the multiplicity of each in p and in q is read off
-through gcd chains, and the weak alternation is checked block by block
-in descending order.  Conventions: the zero polynomial interlaces and is
-interlaced by every real-rooted polynomial, and nonzero constants
-interlace every real-rooted polynomial of degree at most one.
+largest root of q outermost) locates no root.  Common roots never break
+a weak alternation, so with g = gcd(p, q) it holds exactly when the
+Cauchy index of (p/g)/(q/g) is deg(q/g) sign(lc(p) lc(q)).  Conventions:
+the zero polynomial interlaces and is interlaced by every real-rooted
+polynomial, and nonzero constants interlace every real-rooted polynomial
+of degree at most one.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from .errors import DomainError, NotRealRootedError
 from .polynomials import (
     Poly,
     _poly_rem,
+    exact_div,
     poly_gcd,
     primitive_part,
     squarefree_decomposition,
-    squarefree_part,
 )
 
 NEG_INF = object()
@@ -73,19 +74,25 @@ def _sign_at(p: Poly, x) -> int:
     return 0
 
 
-@lru_cache(maxsize=None)
-def sturm_chain(p: Poly) -> tuple:
-    """Sturm chain of p with each member reduced to a primitive integer
-    polynomial (positive rescaling only, so all signs are preserved)."""
-    chain = [primitive_part(p)]
-    if chain[0].degree >= 1:
-        chain.append(primitive_part(chain[0].derivative()))
-        while not chain[-1].is_zero:
+def _remainder_sequence(f0: Poly, f1: Poly) -> tuple:
+    """f0, f1, -rem(f0, f1), ... down to gcd(f0, f1), every member primitive
+    (positive rescaling only, so all signs are preserved)."""
+    chain = [primitive_part(f0)]
+    if not f1.is_zero:
+        chain.append(primitive_part(f1))
+        while True:
             rem = _poly_rem(chain[-2], chain[-1])
             if rem.is_zero:
                 break
             chain.append(primitive_part(-rem))
     return tuple(chain)
+
+
+@lru_cache(maxsize=None)
+def sturm_chain(p: Poly) -> tuple:
+    """Sturm chain p, p', ..., gcd(p, p'), every member primitive; it
+    counts distinct real roots even when p is not squarefree."""
+    return _remainder_sequence(p, p.derivative())
 
 
 def _variations(chain: tuple, x) -> int:
@@ -201,18 +208,22 @@ class RealRootedness:
 def real_rootedness(p: Poly) -> RealRootedness:
     """Decide real-rootedness exactly and return the Sturm certificate.
 
-    The zero polynomial and nonzero constants count as real-rooted.
+    The decision is read off sturm_chain(p).  The zero polynomial and
+    nonzero constants count as real-rooted.  The variation counts are those
+    of the chain of sf = p / gcd(p, p'), which equal the ones on the chain
+    of p unless p is neither squarefree nor real-rooted.
     """
-    if p.is_zero:
-        return RealRootedness(True, -1, 0, 0, 0, 0)
-    sf = squarefree_part(p)
-    if sf.degree == 0:
-        return RealRootedness(True, p.degree, 0, 0, 0, 0)
-    chain = sturm_chain(sf)
+    chain = sturm_chain(p)
+    gcd = chain[-1]
+    sf_degree = p.degree - gcd.degree
     vneg = _variations(chain, NEG_INF)
     vpos = _variations(chain, POS_INF)
     roots = vneg - vpos
-    return RealRootedness(roots == sf.degree, p.degree, sf.degree, roots, vneg, vpos)
+    if roots != sf_degree and gcd.degree > 0:
+        sf_chain = sturm_chain(exact_div(chain[0], gcd))
+        vneg = _variations(sf_chain, NEG_INF)
+        vpos = _variations(sf_chain, POS_INF)
+    return RealRootedness(roots == sf_degree, p.degree, sf_degree, roots, vneg, vpos)
 
 
 def is_real_rooted(p: Poly) -> bool:
@@ -262,40 +273,6 @@ def isolate_real_roots(p: Poly) -> RootIsolation:
     return RootIsolation(intervals, p.degree, real, p.degree - real)
 
 
-def _multiplicity_in(p: Poly, w: Poly, interval) -> int:
-    """Multiplicity in p of the unique root of squarefree w inside interval."""
-
-    def vanishes(g: Poly) -> bool:
-        if g.degree < 1:
-            return False
-        common = poly_gcd(g, w)
-        if common.degree < 1:
-            return False
-        a, b = interval
-        if a == b:
-            return _sign_at(common, a) == 0
-        return count_roots_halfopen(common, a, b) == 1
-
-    mult = 0
-    current = primitive_part(p)
-    while vanishes(current):
-        mult += 1
-        current = poly_gcd(current, current.derivative())
-    return mult
-
-
-def _root_blocks(p: Poly, q: Poly) -> list:
-    """Descending distinct roots of p*q with multiplicities in each factor."""
-    w = squarefree_part(p * q)
-    blocks = []
-    for iv in _isolate_squarefree(w):
-        mp = _multiplicity_in(p, w, iv)
-        mq = _multiplicity_in(q, w, iv)
-        blocks.append((iv, mp, mq))
-    blocks.reverse()
-    return [(mp, mq) for _, mp, mq in blocks]
-
-
 @lru_cache(maxsize=None)
 def interlaces(p: Poly, q: Poly) -> bool:
     """Exact decision of the weak root alternation p <= q.
@@ -303,7 +280,8 @@ def interlaces(p: Poly, q: Poly) -> bool:
     Reading roots downward the pattern must be
     beta_1 >= alpha_1 >= beta_2 >= alpha_2 >= ... with alphas the roots
     of p and betas the roots of q.  Raises NotRealRootedError unless both
-    arguments are real-rooted.
+    arguments are real-rooted.  Decided by a Cauchy index, see the module
+    docstring.
     """
     if not is_real_rooted(p):
         raise NotRealRootedError("first argument is not real-rooted")
@@ -316,21 +294,16 @@ def interlaces(p: Poly, q: Poly) -> bool:
         return False
     if s == 0:
         return True
-    need_beta = True
-    for ma, mb in _root_blocks(p, q):
-        if abs(ma - mb) > 1:
-            return False
-        if ma == mb:
-            continue  # block starts with whichever symbol is expected
-        if ma > mb:
-            if need_beta:
-                return False
-            need_beta = True
-        else:
-            if not need_beta:
-                return False
-            need_beta = False
-    return True
+    g = poly_gcd(p, q)
+    pg = exact_div(primitive_part(p), g)  # primitive, by Gauss's lemma
+    qg = exact_div(primitive_part(q), g)
+    if qg.degree == 0:
+        return True
+    sign = 1 if (p.leading_coefficient > 0) == (q.leading_coefficient > 0) else -1
+    if pg.degree == qg.degree:
+        pg = _poly_rem(pg, qg)  # the polynomial part has no poles
+    chain = _remainder_sequence(qg, pg)
+    return _variations(chain, NEG_INF) - _variations(chain, POS_INF) == qg.degree * sign
 
 
 def is_interlacing_sequence(ps: Sequence[Poly]) -> bool:

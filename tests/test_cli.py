@@ -274,6 +274,26 @@ def test_batch_skips_blank_and_reports_bad_lines(tmp_path, capsys):
     assert lines[1]["exit"] == 2
 
 
+def test_batch_survives_bad_poset_ranks(tmp_path, capsys):
+    poset = tmp_path / "bad_rank.json"
+    poset.write_text(json.dumps({"elements": ["e"], "covers": [], "ranks": {"e": "x"}}))
+    batch = tmp_path / "batch.txt"
+    batch.write_text("\n".join(json.dumps(line) for line in [
+        ["ant", "3", "1,2"], ["poset", str(poset)], ["nc", "H3"],
+    ]) + "\n")
+    code, out, _ = run_cli(capsys, "--batch", str(batch))
+    assert code == 2
+    assert [json.loads(l)["exit"] for l in out.strip().splitlines()] == [0, 2, 0]
+
+
+def test_poset_unhashable_element(tmp_path, capsys):
+    path = tmp_path / "listy.json"
+    path.write_text(json.dumps({"elements": [["a"], "b"], "covers": []}))
+    code, out, _ = run_cli(capsys, "poset", str(path))
+    assert code == 2
+    assert "error=" in out
+
+
 def test_console_script_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "chainpoly.cli", "ant", "3", "1,2"],

@@ -72,6 +72,11 @@ def test_duplicate_elements_rejected():
         Poset([1, 1, 2], [(1, 2)])
 
 
+def test_subposet_accepts_generator():
+    p = Poset([1, 2, 3], [(1, 2), (2, 3)])
+    assert len(p.subposet(x for x in p.elements)) == 3
+
+
 def test_chain_polynomial_small():
     antichain = Poset([1, 2, 3], [])
     assert chain_polynomial(antichain) == Poly([1, 3])
@@ -207,3 +212,7 @@ def test_load_poset_errors(tmp_path):
     assert exc.value.line is not None
     with pytest.raises(PosetFileError):
         load_poset(str(tmp_path / "missing.json"))
+    huge_rank = tmp_path / "huge_rank.json"
+    huge_rank.write_text('{"elements": ["e"], "covers": [], "ranks": {"e": 1e400}}')
+    with pytest.raises(PosetFileError):
+        load_poset(str(huge_rank))

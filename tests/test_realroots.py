@@ -13,12 +13,14 @@ from chainpoly import (
     DomainError,
     NotRealRootedError,
     Poly,
+    RealRootedness,
     count_distinct_real_roots,
     descent_enumerator,
     interlaces,
     is_interlacing_sequence,
     is_real_rooted,
     isolate_real_roots,
+    real_rootedness,
     sturm_chain,
     wronskian_semidefinite,
 )
@@ -144,6 +146,49 @@ def test_interleaved_construction(roots):
     q = linear_product(rs)
     p = linear_product([Fraction(a + b, 2) for a, b in zip(rs, rs[1:])])
     assert interlaces(p, q)
+
+
+def weakly_alternates(alphas, betas):
+    """beta_1 >= alpha_1 >= beta_2 >= alpha_2 >= ... on sorted root lists."""
+    a = sorted(alphas, reverse=True)
+    b = sorted(betas, reverse=True)
+    if len(b) - len(a) not in (0, 1):
+        return False
+    merged = [x for pair in zip(b, a) for x in pair] + b[len(a):]
+    return all(x >= y for x, y in zip(merged, merged[1:]))
+
+
+half_integers = st.integers(-8, 8).map(lambda k: Fraction(k, 2))
+leads = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)])
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_certificates_match_root_construction(data):
+    # repeated roots come from the small range, shared ones from the pool
+    alphas = data.draw(st.lists(half_integers, max_size=5), "alphas")
+    size = len(alphas) + data.draw(st.integers(0, 1), "degree gap")
+    pool = st.one_of(half_integers, st.sampled_from(alphas)) if alphas else half_integers
+    betas = data.draw(st.lists(pool, min_size=size, max_size=size), "betas")
+    p = linear_product([-a for a in alphas]) * data.draw(leads, "lc p")
+    q = linear_product([-b for b in betas]) * data.draw(leads, "lc q")
+    assert interlaces(p, q) == weakly_alternates(alphas, betas)
+    quadratic = Poly([data.draw(st.integers(1, 5), "c"), 0, 1])  # x^2 + c
+    for roots, f in ((alphas, p), (betas, q)):
+        distinct = len(set(roots))
+        for g, holds, extra in ((f, True, 0), (f * quadratic, False, 2)):
+            rr = real_rootedness(g)
+            assert (rr.holds, rr.squarefree_degree, rr.distinct_real_roots) == (
+                holds, distinct + extra, distinct)
+
+
+def test_real_rootedness_variation_counts():
+    # The counts come from the Sturm chain of the squarefree part; on a
+    # polynomial that is neither squarefree nor real-rooted they differ
+    # from the counts on the chain of p itself, which would read (4, 1).
+    q = Poly([0, -9, 30, -46, 50, -41, 20, -4])
+    assert real_rootedness(q) == RealRootedness(False, 7, 5, 3, 3, 0)
+    assert real_rootedness(Poly([-1, 4, -6, 4, -1])) == RealRootedness(True, 4, 1, 1, 1, 0)
 
 
 def test_interlacing_sequence():
