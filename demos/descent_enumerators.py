@@ -27,7 +27,7 @@ p = descent_enumerator(5, t)
 print("T = {2,4}, n=5:", p.coeffs)
 print("mode:", mode(p))
 
-# The same polynomial through the determinant formula, exact rationals.
+# The same polynomial through the determinant formula, in integers.
 print("determinant path:", determinant_descent_enumerator(5, t).coeffs)
 
 # Behind the real-rootedness proof sit the first-letter refinements:

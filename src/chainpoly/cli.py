@@ -184,6 +184,13 @@ def cmd_ant(ns, rep: Report) -> int:
 
 def cmd_nc(ns, rep: Report) -> int:
     t = CoxeterType.parse(ns.type)
+    if ns.oracle:
+        # the group-order cap comes before any formula work
+        if t.family not in ("A", "B", "D"):
+            raise ResourceLimitError(
+                "no concrete group model for type %s" % t
+            )
+        group = build_reflection_group(t, max_order=ns.max_elements)
     report = nc_symdec_report(t)
     rep.add("coefficients", report.h)
     rep.add("type", str(t))
@@ -202,11 +209,6 @@ def cmd_nc(ns, rep: Report) -> int:
         rep.add("symdec", report.symdec_nonneg_realrooted)
     code = 0
     if ns.oracle:
-        if t.family not in ("A", "B", "D"):
-            raise ResourceLimitError(
-                "no concrete group model for type %s" % t
-            )
-        group = build_reflection_group(t, max_order=ns.max_elements)
         lattice = noncrossing_lattice(group)
         oracle_h = order_h_polynomial(lattice.proper_part())
         oracle_chain = chain_polynomial(lattice)

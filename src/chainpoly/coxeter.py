@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Tuple
@@ -290,12 +289,12 @@ def nc_h_formula(t: CoxeterType) -> Poly:
     fam = t.family
     if fam == "A":
         n = t.param + 1
-        scaled = word_descent_enumerator(t.param, n).scale(Fraction(1, n))
-        if not scaled.is_integral:
+        counts = word_descent_enumerator(t.param, n).coeffs
+        if any(c % n for c in counts):
             raise DomainError(
                 "type A descent count not divisible by the group size"
             )
-        return scaled
+        return Poly([c // n for c in counts])
     if fam == "B":
         return word_descent_enumerator(t.param, t.param)
     if fam == "D":

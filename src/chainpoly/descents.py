@@ -8,9 +8,12 @@ the first-letter refinement p_(n,k) (permutations of n+1 letters with
 first letter k+1).  The same pattern repeats for colored permutations,
 for words over a bounded alphabet and for the signed-word family used by
 the type-D noncrossing lattice, so every fast path has an independent
-enumeration to test against.  A determinant formula, exact mean and
-variance of the descent statistic, and the mode bound around them round
-out the module.  All arithmetic is exact.
+enumeration to test against.  All four fast recurrences are one transfer
+step, ``_transfer``, on plain integer coefficient lists; ``Poly`` objects
+appear only in what the public functions return.  A determinant formula
+(an O(r^2) Hessenberg recurrence in integers), exact mean and variance
+of the descent statistic, and the mode bound around them round out the
+module.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from itertools import permutations, product
 from typing import Iterable, Tuple
 
 from .errors import DomainError, ResourceLimitError
-from .polynomials import ONE, Poly, X, exact_div
+from .polynomials import ONE, Poly
 
 DEFAULT_PERMUTATION_CAP = 9
 DEFAULT_COLORED_CAP = 10 ** 7
@@ -81,7 +84,56 @@ def descent_enumerator_bruteforce(
     return Poly(coeffs)
 
 
+# Weights of the transfer step, as the power of x they stand for; None is 0.
+_ZERO, _ONE, _X = None, 0, 1
+
+
+def _transfer(row: list, head, tail) -> list:
+    """One step of every descent recurrence in this module.
+
+    Returns out[k] = A * sum(row[:k]) + B * sum(row[k:]) for k = 0..len(row),
+    with A = x^head, B = x^tail and None standing for the weight 0; the
+    pairs (A, B) used are (x, 1), (1, x) and (0, 1).  The entries of
+    ``row`` are integer coefficient lists of one common length, and so are
+    those of the result.  Since out[k+1] - out[k] = (A - B) * row[k], each
+    entry costs one pass over a coefficient list.
+    """
+    width = len(row[0]) + (_X in (head, tail))
+
+    def pads(e):
+        return [0] * e, [0] * (width - len(row[0]) - e)
+
+    tl, tr = pads(tail)
+    cur = tl + [sum(col) for col in zip(*row)] + tr
+    out = [cur]
+    if head is _ZERO:
+        # (0, 1): the suffix sums, at the row's own width
+        for p in row:
+            cur = [c - v for c, v in zip(cur, p)]
+            out.append(cur)
+    else:
+        hl, hr = pads(head)
+        for p in row:
+            cur = [c + u - v for c, u, v in zip(cur, hl + p + hr, tl + p + tr)]
+            out.append(cur)
+    return out
+
+
 @lru_cache(maxsize=None)
+def _first_letter_rows(n: int, allowed: frozenset) -> tuple:
+    """The first-letter row as integer coefficient tuples of one length."""
+    if not isinstance(n, int) or n < 0:
+        raise DomainError("n must be a nonnegative integer")
+    allowed = _position_set(allowed, n)
+    row = [[1]]
+    for m in range(1, n + 1):
+        # positions relevant at length m are the original ones shifted
+        # down by n - m
+        head = _X if 1 + n - m in allowed else _ZERO
+        row = _transfer(row, head, _ONE)
+    return tuple(map(tuple, row))
+
+
 def first_letter_descent_polynomials(n: int, allowed: frozenset) -> tuple:
     """The row (p_0, ..., p_n): p_k sums x^des over w in S_(n+1) with
     w(1) = k+1 and descent set inside ``allowed``.
@@ -91,24 +143,7 @@ def first_letter_descent_polynomials(n: int, allowed: frozenset) -> tuple:
     the tail sums of the previous row; when 1 is allowed, the head sums
     enter multiplied by x.
     """
-    if not isinstance(n, int) or n < 0:
-        raise DomainError("n must be a nonnegative integer")
-    allowed = _position_set(allowed, n)
-    row = [ONE]
-    for m in range(1, n + 1):
-        # positions relevant at length m are the original ones shifted
-        # down by n - m
-        shift = n - m
-        one_allowed = (1 + shift) in allowed
-        suffix = [Poly()] * (m + 1)
-        for i in range(m - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + row[i]
-        total = suffix[0]
-        if one_allowed:
-            row = [(total - suffix[k]) * X + suffix[k] for k in range(m + 1)]
-        else:
-            row = [suffix[k] for k in range(m + 1)]
-    return tuple(row)
+    return tuple(Poly(p) for p in _first_letter_rows(n, frozenset(allowed)))
 
 
 def first_letter_descent_polynomial(n: int, allowed: Iterable, k: int) -> Poly:
@@ -127,11 +162,8 @@ def descent_enumerator(n: int, allowed: Iterable) -> Poly:
         raise DomainError("n must be a nonnegative integer")
     if n == 0:
         return ONE
-    row = first_letter_descent_polynomials(n - 1, frozenset(allowed))
-    total = Poly()
-    for p in row:
-        total = total + p
-    return total
+    row = _first_letter_rows(n - 1, frozenset(allowed))
+    return Poly([sum(col) for col in zip(*row)])
 
 
 def colored_descent_positions(w: Tuple[int, ...], colors: Tuple[int, ...]) -> frozenset:
@@ -179,11 +211,9 @@ def colored_descent_enumerator(n: int, r: int, allowed: Iterable) -> Poly:
         raise DomainError("need n >= 0 and r >= 1")
     t = _position_set(allowed, n)
     reflected = frozenset(n + 1 - a for a in t)
-    row = first_letter_descent_polynomials(n, reflected)
-    total = Poly()
-    for k in range(n + 1):
-        total = total + row[k] * (math.comb(n, k) * (r - 1) ** k)
-    return total
+    row = _first_letter_rows(n, reflected)
+    weights = [math.comb(n, k) * (r - 1) ** k for k in range(n + 1)]
+    return Poly([sum(w * c for w, c in zip(weights, col)) for col in zip(*row)])
 
 
 def colored_descent_enumerator_bruteforce(
@@ -217,17 +247,10 @@ def word_descent_enumerator(n: int, r: int) -> Poly:
         raise DomainError("need n >= 0 and r >= 1")
     if n == 0:
         return ONE
-    state = [ONE for _ in range(r)]
+    state = [[1]] * r
     for _ in range(n - 1):
-        suffix = [Poly()] * (r + 1)
-        for i in range(r - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + state[i]
-        total = suffix[0]
-        state = [suffix[m] * X + (total - suffix[m]) for m in range(r)]
-    out = Poly()
-    for p in state:
-        out = out + p
-    return out
+        state = _transfer(state, _ONE, _X)[:r]
+    return Poly([sum(col) for col in zip(*state)])
 
 
 def word_descent_enumerator_bruteforce(n: int, r: int, max_enum: int = 10 ** 6) -> Poly:
@@ -245,18 +268,10 @@ def word_ascent_enumerator(n: int, r: int) -> Poly:
     ascents strict (<), counted at positions 1..n."""
     if not isinstance(n, int) or n < 0 or not isinstance(r, int) or r < 1:
         raise DomainError("need n >= 0 and r >= 1")
-    state = [Poly() for _ in range(r)]
-    state[0] = ONE
+    state = [[1]] + [[0]] * (r - 1)
     for _ in range(n):
-        prefix = [Poly()] * (r + 1)
-        for i in range(r):
-            prefix[i + 1] = prefix[i] + state[i]
-        total = prefix[r]
-        state = [prefix[m] * X + (total - prefix[m]) for m in range(r)]
-    out = Poly()
-    for p in state:
-        out = out + p
-    return out
+        state = _transfer(state, _X, _ONE)[:r]
+    return Poly([sum(col) for col in zip(*state)])
 
 
 def word_ascent_enumerator_bruteforce(n: int, r: int, max_enum: int = 10 ** 6) -> Poly:
@@ -270,6 +285,18 @@ def word_ascent_enumerator_bruteforce(n: int, r: int, max_enum: int = 10 ** 6) -
     return Poly(coeffs)
 
 
+def _signed_columns(n: int, k: int) -> list:
+    """signed_word_columns as integer coefficient lists of one length."""
+    if not isinstance(n, int) or n < 2:
+        raise DomainError("signed words need n >= 2")
+    if not isinstance(k, int) or not 2 <= k <= n + 1:
+        raise DomainError("column index k must lie in 2..n+1")
+    cols = [[2 * j - 1, 2 * n - 2 * j - 1] for j in range(1, n)]
+    for _ in range(k - 2):
+        cols = _transfer(cols, _ONE, _X)[: n - 1]
+    return cols
+
+
 def signed_word_columns(n: int, k: int) -> tuple:
     """The refinement columns (h_(n,k,1), ..., h_(n,k,n-1)) of the
     signed-word descent enumerator, for 2 <= k <= n+1.
@@ -278,18 +305,7 @@ def signed_word_columns(n: int, k: int) -> tuple:
     takes head sums plus x times tail sums; at k = n+1 only j = 1 remains
     meaningful and equals x times the full enumerator.
     """
-    if not isinstance(n, int) or n < 2:
-        raise DomainError("signed words need n >= 2")
-    if not isinstance(k, int) or not 2 <= k <= n + 1:
-        raise DomainError("column index k must lie in 2..n+1")
-    cols = [Poly([2 * j - 1, 2 * n - 2 * j - 1]) for j in range(1, n)]
-    for _ in range(k - 2):
-        prefix = [Poly()] * n
-        for i in range(1, n):
-            prefix[i] = prefix[i - 1] + cols[i - 1]
-        total = prefix[n - 1]
-        cols = [prefix[j - 1] + (total - prefix[j - 1]) * X for j in range(1, n)]
-    return tuple(cols)
+    return tuple(Poly(c) for c in _signed_columns(n, k))
 
 
 def signed_word_descent_enumerator(n: int) -> Poly:
@@ -298,8 +314,8 @@ def signed_word_descent_enumerator(n: int) -> Poly:
     are equal and positive, later positions descend weakly."""
     if not isinstance(n, int) or n < 2:
         raise DomainError("signed words need n >= 2")
-    top = signed_word_columns(n, n + 1)[0]
-    return exact_div(top, X)
+    # the top column is x times the enumerator: drop its zero constant
+    return Poly(_signed_columns(n, n + 1)[0][1:])
 
 
 def signed_word_descent_enumerator_bruteforce(n: int, max_enum: int = 10 ** 6) -> Poly:
@@ -334,51 +350,28 @@ def determinant_descent_enumerator(n: int, allowed: Iterable) -> Poly:
     With 0 = a_0 < a_1 < ... < a_r the allowed positions and a_(r+1) = n,
     the matrix has (1-x)^(j-i) / (a_(j+1) - a_i)! above the diagonal, ones
     on the subdiagonal and zeros below; n! times its determinant is the
-    reversal of the enumerator.  Everything is exact rational arithmetic
-    and the result is validated to be integral.
+    reversal of the enumerator.  The matrix is upper Hessenberg, so its
+    leading minors D_k obey a recurrence, and E_k = a_k! D_k stays
+    integral: E_0 = 1 and
+    E_(k+1) = sum over i <= k of C(a_(k+1), a_i) (x-1)^(k-i) E_i,
+    with E_(r+1) = n! det.  That is O(r^2) products of integer
+    polynomials.
     """
     if not isinstance(n, int) or n < 1:
         raise DomainError("n must be a positive integer")
     t = sorted(_position_set(allowed, n - 1))
     a = [0] + t + [n]
     r = len(t)
-    one_minus_x = Poly([1, -1])
-    entries = {}
-    for i in range(r + 1):
-        for j in range(r + 1):
-            if i > j + 1:
-                entries[(i, j)] = Poly()
-            elif i == j + 1:
-                entries[(i, j)] = ONE
-            else:
-                scale = Fraction(1, math.factorial(a[j + 1] - a[i]))
-                entries[(i, j)] = (one_minus_x ** (j - i)).scale(scale)
-
-    memo = {}
-
-    def minor(row: int, cols: tuple) -> Poly:
-        if not cols:
-            return ONE
-        key = (row, cols)
-        got = memo.get(key)
-        if got is not None:
-            return got
+    powers = [ONE]
+    for _ in range(r):
+        powers.append(powers[-1] * Poly([-1, 1]))
+    minors = [ONE]
+    for k in range(r + 1):
         acc = Poly()
-        for pos, col in enumerate(cols):
-            entry = entries[(row, col)]
-            if entry.is_zero:
-                continue
-            rest = minor(row + 1, cols[:pos] + cols[pos + 1 :])
-            term = entry * rest
-            acc = acc + (term if pos % 2 == 0 else -term)
-        memo[key] = acc
-        return acc
-
-    det = minor(0, tuple(range(r + 1)))
-    scaled = det.scale(math.factorial(n))
-    if not scaled.is_integral:
-        raise DomainError("determinant did not clear to integer coefficients")
-    return scaled.reverse(r)
+        for i in range(k + 1):
+            acc = acc + (powers[k - i] * minors[i]).scale(_binom(a[k + 1], a[i]))
+        minors.append(acc)
+    return minors[-1].reverse(r)
 
 
 def expected_descents(n: int, allowed: Iterable) -> Fraction:

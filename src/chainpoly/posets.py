@@ -499,6 +499,9 @@ def load_poset(path: str):
     if ranks is not None:
         if not isinstance(ranks, dict):
             raise PosetFileError('"ranks" must be an object')
+        # int() would truncate a fractional rank such as 1.9 to 1
+        if any(isinstance(v, float) and not v.is_integer() for v in ranks.values()):
+            raise PosetFileError('"ranks" values must be integers')
         index = {}
         for x in elements:
             index[str(x)] = x

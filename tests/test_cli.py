@@ -35,6 +35,13 @@ def test_ant_gessel_match(capsys):
     assert "gessel=match" in out.splitlines()
 
 
+def test_ant_gessel_at_scale(capsys):
+    full = ",".join(str(i) for i in range(1, 30))
+    code, out, _ = run_cli(capsys, "ant", "30", full, "--gessel")
+    assert code == 0
+    assert "gessel=match" in out.splitlines()
+
+
 def test_ant_colored(capsys):
     code, out, _ = run_cli(capsys, "ant", "2", "1,2", "--colored", "2")
     assert code == 0
@@ -78,6 +85,18 @@ def test_nc_oracle_match(capsys):
 def test_nc_oracle_unavailable(capsys):
     code, out, _ = run_cli(capsys, "nc", "H3", "--oracle")
     assert code == 3
+
+
+def test_nc_oracle_cap_before_report(capsys, monkeypatch):
+    def report(t):
+        raise AssertionError("formula report built for %s" % t)
+
+    monkeypatch.setattr("chainpoly.cli.nc_symdec_report", report)
+    for name in ("A40", "H3"):
+        code, out, _ = run_cli(capsys, "nc", name, "--oracle")
+        assert code == 3
+        lines = out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error="), name
 
 
 def test_nc_symdec(capsys):
@@ -292,6 +311,16 @@ def test_poset_unhashable_element(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "poset", str(path))
     assert code == 2
     assert "error=" in out
+
+
+def test_poset_fractional_rank(tmp_path, capsys):
+    path = tmp_path / "frac.json"
+    path.write_text(json.dumps(
+        {"elements": ["e", "a"], "covers": [["e", "a"]], "ranks": {"e": 0, "a": 1.9}}
+    ))
+    code, out, _ = run_cli(capsys, "poset", str(path))
+    assert code == 2
+    assert out.splitlines() == ['error="ranks" values must be integers']
 
 
 def test_console_script_entry():

@@ -289,6 +289,22 @@ def test_determinant_enumerator():
         determinant_descent_enumerator(0, frozenset())
 
 
+def test_determinant_enumerator_at_scale():
+    n = 30
+    fixed = [
+        frozenset(range(1, n)),
+        frozenset(range(1, n)) - {5, 11, 17, 23},
+        frozenset(range(2, n, 3)) | frozenset(range(1, n, 2)),
+        frozenset(range(1, 22)),
+        frozenset(range(9, n)),
+    ]
+    for t in fixed:
+        assert len(t) >= 20
+        det = determinant_descent_enumerator(n, t)
+        assert det == descent_enumerator(n, t), sorted(t)
+        assert all(type(c) is int for c in det.coeffs)
+
+
 def test_expected_descents_hand_values():
     # mean of the full Eulerian distribution is (n-1)/2
     for n in range(1, 8):

@@ -216,3 +216,10 @@ def test_load_poset_errors(tmp_path):
     huge_rank.write_text('{"elements": ["e"], "covers": [], "ranks": {"e": 1e400}}')
     with pytest.raises(PosetFileError):
         load_poset(str(huge_rank))
+    for ranks in ('{"e": 0, "a": 1.9}', '{"e": 0.4, "a": 1.9}'):
+        fractional = tmp_path / "fractional_rank.json"
+        fractional.write_text(
+            '{"elements": ["e", "a"], "covers": [["e", "a"]], "ranks": %s}' % ranks
+        )
+        with pytest.raises(PosetFileError):
+            load_poset(str(fractional))
