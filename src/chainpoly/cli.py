@@ -426,16 +426,17 @@ def _run_batch(path: str) -> int:
     parser = build_parser()
     worst = 0
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+        # bytes, so that an undecodable line fails on its own
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         print(json.dumps({"error": str(exc)}))
         return 2
     for raw in lines:
-        raw = raw.strip()
-        if not raw:
-            continue
         try:
+            raw = raw.decode("utf-8").strip()
+            if not raw:
+                continue
             tokens = json.loads(raw)
             if not isinstance(tokens, list) or not all(
                 isinstance(tok, str) for tok in tokens
@@ -447,8 +448,8 @@ def _run_batch(path: str) -> int:
                 ns = parser.parse_args(tokens)
             if ns.command is None:
                 raise ValueError("batch line is missing a subcommand")
-        except (ValueError, SystemExit) as exc:
-            msg = str(exc) if isinstance(exc, ValueError) else "bad arguments"
+        except (ValueError, RecursionError, SystemExit) as exc:
+            msg = "bad arguments" if isinstance(exc, SystemExit) else str(exc)
             print(json.dumps({"error": msg, "exit": 2}))
             worst = max(worst, 2)
             continue

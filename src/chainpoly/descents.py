@@ -8,9 +8,11 @@ the first-letter refinement p_(n,k) (permutations of n+1 letters with
 first letter k+1).  The same pattern repeats for colored permutations,
 for words over a bounded alphabet and for the signed-word family used by
 the type-D noncrossing lattice, so every fast path has an independent
-enumeration to test against.  All four fast recurrences are one transfer
-step, ``_transfer``, on plain integer coefficient lists; ``Poly`` objects
-appear only in what the public functions return.  A determinant formula
+enumeration to test against (the word and signed-word ones are used
+only by the tests and live in ``tests/oracles.py``).  All four fast
+recurrences are one transfer step, ``_transfer``, on plain integer
+coefficient lists; ``Poly`` objects appear only in what the public
+functions return.  A determinant formula
 (an O(r^2) Hessenberg recurrence in integers), exact mean and variance
 of the descent statistic, and the mode bound around them round out the
 module.  All arithmetic is exact.
@@ -253,16 +255,6 @@ def word_descent_enumerator(n: int, r: int) -> Poly:
     return Poly([sum(col) for col in zip(*state)])
 
 
-def word_descent_enumerator_bruteforce(n: int, r: int, max_enum: int = 10 ** 6) -> Poly:
-    if r ** n > max_enum:
-        raise ResourceLimitError("r^n exceeds the enumeration cap")
-    coeffs = [0] * (n + 1)
-    for w in product(range(1, r + 1), repeat=n):
-        des = sum(1 for i in range(n - 1) if w[i] >= w[i + 1])
-        coeffs[des] += 1
-    return Poly(coeffs)
-
-
 def word_ascent_enumerator(n: int, r: int) -> Poly:
     """Sum of x^asc over words w(0) w(1) ... w(n) in [r] with w(0) = 1,
     ascents strict (<), counted at positions 1..n."""
@@ -272,17 +264,6 @@ def word_ascent_enumerator(n: int, r: int) -> Poly:
     for _ in range(n):
         state = _transfer(state, _X, _ONE)[:r]
     return Poly([sum(col) for col in zip(*state)])
-
-
-def word_ascent_enumerator_bruteforce(n: int, r: int, max_enum: int = 10 ** 6) -> Poly:
-    if r ** n > max_enum:
-        raise ResourceLimitError("r^n exceeds the enumeration cap")
-    coeffs = [0] * (n + 1)
-    for w in product(range(1, r + 1), repeat=n):
-        word = (1,) + w
-        asc = sum(1 for i in range(n) if word[i] < word[i + 1])
-        coeffs[asc] += 1
-    return Poly(coeffs)
 
 
 def _signed_columns(n: int, k: int) -> list:
@@ -318,26 +299,6 @@ def signed_word_descent_enumerator(n: int) -> Poly:
     return Poly(_signed_columns(n, n + 1)[0][1:])
 
 
-def signed_word_descent_enumerator_bruteforce(n: int, max_enum: int = 10 ** 6) -> Poly:
-    if not isinstance(n, int) or n < 2:
-        raise DomainError("signed words need n >= 2")
-    if 2 * (n - 1) ** n > max_enum:
-        raise ResourceLimitError("2(n-1)^n exceeds the enumeration cap")
-    letters = range(1, n)
-    coeffs = [0] * (n + 1)
-    for first in list(range(-(n - 1), 0)) + list(letters):
-        for rest in product(letters, repeat=n - 1):
-            w = (first,) + rest
-            des = 0
-            if abs(w[0]) > w[1] or w[0] == w[1]:
-                des += 1
-            for i in range(1, n - 1):
-                if w[i] >= w[i + 1]:
-                    des += 1
-            coeffs[des] += 1
-    return Poly(coeffs)
-
-
 def _binom(a: int, b: int) -> int:
     if b < 0 or b > a or a < 0:
         return 0
@@ -355,10 +316,11 @@ def determinant_descent_enumerator(n: int, allowed: Iterable) -> Poly:
     integral: E_0 = 1 and
     E_(k+1) = sum over i <= k of C(a_(k+1), a_i) (x-1)^(k-i) E_i,
     with E_(r+1) = n! det.  That is O(r^2) products of integer
-    polynomials.
+    polynomials.  At n = 0 the recurrence gives 1, as the direct
+    enumerator does.
     """
-    if not isinstance(n, int) or n < 1:
-        raise DomainError("n must be a positive integer")
+    if not isinstance(n, int) or n < 0:
+        raise DomainError("n must be a nonnegative integer")
     t = sorted(_position_set(allowed, n - 1))
     a = [0] + t + [n]
     r = len(t)

@@ -349,34 +349,30 @@ def squarefree_decomposition(p: Poly) -> list:
     return out
 
 
+def _binomial_transform(p: Poly, n: int, sign: int) -> Poly:
+    """sum over i of p_i x^i (1 + sign*x)^(n-i), for n >= deg(p).
+
+    One Horner pass on a coefficient list:
+    acc_k = acc_(k-1) * (1 + sign*x) + p_k x^k, and acc_n is the result.
+    """
+    if n < p.degree:
+        raise InvalidDegreeError("transform degree below polynomial degree")
+    acc = [0] * (n + 1)
+    for k in range(n + 1):
+        for j in range(k, 0, -1):
+            acc[j] += sign * acc[j - 1]
+        acc[k] += p.coefficient(k)
+    return Poly(acc)
+
+
 def h_from_f(f: Poly, n: int) -> Poly:
     """h(x) = sum over i of f_i x^i (1-x)^(n-i), for n >= deg(f)."""
-    if n < f.degree:
-        raise InvalidDegreeError("transform degree below polynomial degree")
-    one_minus_x = Poly([1, -1])
-    powers = [ONE]
-    for _ in range(n):
-        powers.append(powers[-1] * one_minus_x)
-    out = Poly()
-    for i, c in enumerate(f.coeffs):
-        if c:
-            out = out + (X ** i) * powers[n - i].scale(c)
-    return out
+    return _binomial_transform(f, n, -1)
 
 
 def f_from_h(h: Poly, n: int) -> Poly:
     """Inverse of h_from_f: f(x) = sum over i of h_i x^i (1+x)^(n-i)."""
-    if n < h.degree:
-        raise InvalidDegreeError("transform degree below polynomial degree")
-    one_plus_x = Poly([1, 1])
-    powers = [ONE]
-    for _ in range(n):
-        powers.append(powers[-1] * one_plus_x)
-    out = Poly()
-    for i, c in enumerate(h.coeffs):
-        if c:
-            out = out + (X ** i) * powers[n - i].scale(c)
-    return out
+    return _binomial_transform(h, n, 1)
 
 
 def has_nonneg_coeffs(p: Poly) -> bool:

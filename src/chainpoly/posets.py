@@ -12,7 +12,9 @@ subsets, empty chain included).  The order h-polynomial is the standard
 binomial transform of its coefficients.  Rank selection keeps the
 elements whose rank lies in a chosen set and rebounds them between a
 virtual bottom and top; flag vectors count maximal chains of those
-selections (alpha) and their inclusion-exclusion transform (beta).
+selections (alpha, one table indexed by rank-subset bitmask) and their
+inclusion-exclusion transform (beta, one in-place subset Moebius
+transform of that table).
 """
 
 from __future__ import annotations
@@ -351,48 +353,60 @@ def rank_selected(poset: GradedBoundedPoset, t: Iterable) -> GradedBoundedPoset:
     return out
 
 
-def _alpha_table(poset: GradedBoundedPoset, ranks: Sequence[int]) -> dict:
+def _alpha_table(poset: GradedBoundedPoset, ranks: Sequence[int]) -> list:
     """alpha(S) for every S contained in the given rank list.
 
     alpha(S) counts maximal chains of the rank selection by S: one
-    element from each rank in S, linearly ordered.
+    element from each rank in S, linearly ordered.  The table is indexed
+    by the bitmask of S, bit k standing for the k-th smallest rank.
     """
     ranks = sorted(set(ranks))
-    levels = {r: [poset.index(x) for x in poset.levels[r]] for r in ranks}
+    levels = [[poset.index(x) for x in poset.levels[r]] for r in ranks]
     up = poset._up
-    table = {frozenset(): 1}
+    table = [0] * (1 << len(ranks))
+    table[0] = 1
     # DFS over subsets ordered by largest member; vec counts chains ending
     # at each element of the last chosen rank.
-    succ_cache = {}
+    link_cache = {}
 
     def links(a: int, b: int) -> list:
-        key = (a, b)
-        got = succ_cache.get(key)
+        """For each element of level a, the positions above it in level b."""
+        got = link_cache.get((a, b))
         if got is None:
             got = [
-                [y for y in levels[b] if (up[x] >> y) & 1] for x in levels[a]
+                [k for k, y in enumerate(levels[b]) if (up[x] >> y) & 1]
+                for x in levels[a]
             ]
-            succ_cache[key] = got
+            link_cache[(a, b)] = got
         return got
 
-    def walk(chosen: tuple, vec: list):
-        table[frozenset(chosen)] = sum(vec)
-        last = chosen[-1]
-        for nxt in ranks:
-            if nxt <= last:
-                continue
-            step = links(last, nxt)
-            pos = {y: k for k, y in enumerate(levels[nxt])}
+    def walk(mask: int, last: int, vec: list):
+        table[mask] = sum(vec)
+        for nxt in range(last + 1, len(ranks)):
             new = [0] * len(levels[nxt])
-            for xi, x in enumerate(levels[last]):
-                vx = vec[xi]
+            for vx, above in zip(vec, links(last, nxt)):
                 if vx:
-                    for y in step[xi]:
-                        new[pos[y]] += vx
-            walk(chosen + (nxt,), new)
+                    for k in above:
+                        new[k] += vx
+            walk(mask | (1 << nxt), nxt, new)
 
-    for start in ranks:
-        walk((start,), [1] * len(levels[start]))
+    for start in range(len(ranks)):
+        walk(1 << start, start, [1] * len(levels[start]))
+    return table
+
+
+def _moebius(table: list) -> list:
+    """In-place subset Moebius transform of a bitmask-indexed table.
+
+    Afterwards table[S] is the sum over T contained in S of
+    (-1)^(|S|-|T|) times the old table[T]: O(k 2^k) for k bits.
+    """
+    bit = 1
+    while bit < len(table):
+        for mask in range(len(table)):
+            if mask & bit:
+                table[mask] -= table[mask ^ bit]
+        bit <<= 1
     return table
 
 
@@ -402,59 +416,57 @@ class FlagVectors:
 
     alpha(T) counts maximal chains through exactly the ranks in T (with
     the virtual extremes adjoined); beta is its inclusion-exclusion
-    transform, so alpha(T) = sum of beta(S) over S contained in T.
+    transform, so alpha(T) = sum of beta(S) over S contained in T.  Both
+    are stored as lists indexed by the bitmask of T over ranks 1..n.
     """
 
     n: int
-    _alpha: dict
-    _beta: dict
+    _alpha: list
+    _beta: list
+
+    def _mask(self, t: Iterable) -> int:
+        t = frozenset(t)
+        if not t <= frozenset(range(1, self.n + 1)):
+            raise KeyError(t)
+        return sum(1 << (int(r) - 1) for r in t)
 
     def alpha(self, t: Iterable) -> int:
-        return self._alpha[frozenset(t)]
+        return self._alpha[self._mask(t)]
 
     def beta(self, t: Iterable) -> int:
-        return self._beta[frozenset(t)]
+        return self._beta[self._mask(t)]
 
     def subsets(self) -> tuple:
-        return tuple(sorted(self._alpha, key=lambda s: (len(s), sorted(s))))
+        every = (
+            frozenset(r + 1 for r in range(self.n) if (mask >> r) & 1)
+            for mask in range(len(self._alpha))
+        )
+        return tuple(sorted(every, key=lambda s: (len(s), sorted(s))))
 
 
 def flag_vectors(poset: GradedBoundedPoset) -> FlagVectors:
     """Both flag vectors over every subset of proper ranks 1..n."""
     n = poset.rank - 1
-    ranks = list(range(1, n + 1))
-    alpha = _alpha_table(poset, ranks)
-    beta = {}
-    for t in alpha:
-        total = 0
-        members = sorted(t)
-        for mask in range(1 << len(members)):
-            s = frozenset(members[i] for i in range(len(members)) if (mask >> i) & 1)
-            total += (-1) ** (len(t) - len(s)) * alpha[s]
-        beta[t] = total
-    return FlagVectors(n, alpha, beta)
+    alpha = _alpha_table(poset, range(1, n + 1))
+    return FlagVectors(n, alpha, _moebius(list(alpha)))
 
 
 def rank_selected_h(poset: GradedBoundedPoset, t: Iterable) -> Poly:
     """h-polynomial of the order complex of the rank selection by t.
 
-    Equals the beta generating sum over subsets of t, which the tests
+    Its f-vector counts chains by size, f_i = sum of alpha(S) over the
+    i-subsets S of t, and h is the f->h transform of degree |t|.  That
+    equals the beta generating sum over subsets of t, which the tests
     cross-check against chain enumeration on rank_selected(poset, t).
     """
     n = poset.rank - 1
     sel = sorted(set(t))
     if any(not isinstance(r, int) or r < 1 or r > n for r in sel):
         raise DomainError("selected ranks must lie in 1..%d" % max(n, 0))
-    alpha = _alpha_table(poset, sel)
-    coeffs = [0] * (len(sel) + 1)
-    for s in alpha:
-        total = 0
-        members = sorted(s)
-        for mask in range(1 << len(members)):
-            sub = frozenset(members[i] for i in range(len(members)) if (mask >> i) & 1)
-            total += (-1) ** (len(s) - len(sub)) * alpha[sub]
-        coeffs[len(s)] += total
-    return Poly(coeffs)
+    f = [0] * (len(sel) + 1)
+    for mask, count in enumerate(_alpha_table(poset, sel)):
+        f[bin(mask).count("1")] += count
+    return h_from_f(Poly(f), len(sel))
 
 
 def load_poset(path: str):
@@ -472,10 +484,14 @@ def load_poset(path: str):
             text = handle.read()
     except OSError as exc:
         raise PosetFileError(str(exc)) from None
+    except UnicodeDecodeError:
+        raise PosetFileError("file is not valid UTF-8") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PosetFileError(exc.msg, line=exc.lineno) from None
+    except RecursionError:
+        raise PosetFileError("JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise PosetFileError("top-level value must be an object")
     if "elements" not in data or "covers" not in data:
@@ -499,8 +515,11 @@ def load_poset(path: str):
     if ranks is not None:
         if not isinstance(ranks, dict):
             raise PosetFileError('"ranks" must be an object')
-        # int() would truncate a fractional rank such as 1.9 to 1
-        if any(isinstance(v, float) and not v.is_integer() for v in ranks.values()):
+        # int() would read true/false as 1/0 and truncate 1.9 to 1
+        if any(
+            isinstance(v, bool) or isinstance(v, float) and not v.is_integer()
+            for v in ranks.values()
+        ):
             raise PosetFileError('"ranks" values must be integers')
         index = {}
         for x in elements:

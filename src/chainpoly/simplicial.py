@@ -6,18 +6,20 @@ through atom sets.  For such posets of rank n the h-vector comes from
 the level counts, and the flag beta vector factors through descent
 classes of permutations of n+1 letters: beta(S) equals the sum over k of
 h_k times the number of w in S_(n+1) with last letter k+1 whose ascent
-set is exactly S.
+set is exactly S.  Those classes come from the first-letter rows of
+``descents`` and the subset Moebius transform of ``posets``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from typing import Iterable
 
+from .descents import _first_letter_rows
 from .errors import DomainError, GradedStructureError
 from .polynomials import Poly, h_from_f
-from .posets import GradedBoundedPoset
+from .posets import GradedBoundedPoset, _moebius
 
 
 def boolean_lattice(n: int) -> GradedBoundedPoset:
@@ -153,40 +155,26 @@ def simplicial_h(poset: GradedBoundedPoset) -> Poly:
     return h_from_f(f, n)
 
 
-@lru_cache(maxsize=None)
-def _ascent_class_counts(n: int) -> dict:
-    """Count w in S_(n+1) by (last letter - 1, ascent set bitmask).
-
-    Ascents are positions i in 1..n with w(i) < w(i+1); the bitmask has
-    bit i-1 set for each ascent i.
-    """
-    counts = {}
-    for w in permutations(range(1, n + 2)):
-        mask = 0
-        for i in range(n):
-            if w[i] < w[i + 1]:
-                mask |= 1 << i
-        key = (w[-1] - 1, mask)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
 def stanley_flag_beta(poset: GradedBoundedPoset, s: Iterable) -> int:
-    """beta(S) of a simplicial poset through h-weighted ascent classes."""
+    """beta(S) of a simplicial poset through h-weighted ascent classes.
+
+    beta(S) sums h_k times the number of w in S_(n+1) with last letter
+    k+1 and ascent set S.  Reversing w makes the last letter the first
+    and an ascent at i a descent at n+1-i, so these classes are the
+    first-letter rows at x = 1: summed over descent sets inside each
+    T contained in S' = {n+1-i : i in S}, then Moebius-inverted over T.
+    """
     n = poset.rank
     s = frozenset(s)
     if any(not isinstance(r, int) or r < 1 or r > n for r in s):
         raise DomainError("rank subset must lie in 1..%d" % n)
     if not is_simplicial(poset):
         raise DomainError("poset is not simplicial")
-    h = simplicial_h(poset)
-    counts = _ascent_class_counts(n)
-    mask = 0
-    for r in s:
-        mask |= 1 << (r - 1)
-    total = 0
-    for k in range(n + 1):
-        hk = h.coefficient(k)
-        if hk:
-            total += hk * counts.get((k, mask), 0)
-    return total
+    h = simplicial_h(poset).coeffs
+    reflected = sorted(n + 1 - r for r in s)
+    table = []
+    for mask in range(1 << len(reflected)):
+        t = frozenset(a for k, a in enumerate(reflected) if (mask >> k) & 1)
+        rows = _first_letter_rows(n, t)
+        table.append(sum(hk * sum(row) for hk, row in zip(h, rows)))
+    return _moebius(table)[-1]

@@ -47,9 +47,7 @@ def symmetric_decomposition(p: Poly, n: int) -> SymmetricDecomposition:
         if i < n:
             b[i] = p.coefficient(n - i) - a[i]
             prev_b = b[i]
-    decomposition = SymmetricDecomposition(n, Poly(a), Poly(b[:n]))
-    assert decomposition.recombine() == p
-    return decomposition
+    return SymmetricDecomposition(n, Poly(a), Poly(b[:n]))
 
 
 def has_nonneg_realrooted_symdec(p: Poly, n: int) -> bool:

@@ -42,13 +42,13 @@ from chainpoly import (
     rank_selected,
     signed_word_columns,
     signed_word_descent_enumerator,
-    signed_word_descent_enumerator_bruteforce,
     simplicial_h,
     stanley_flag_beta,
     word_ascent_enumerator,
     word_descent_enumerator,
 )
 from chainpoly.cli import main
+from oracles import signed_word_descent_enumerator_bruteforce
 
 
 def subsets(universe):

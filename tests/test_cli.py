@@ -42,6 +42,13 @@ def test_ant_gessel_at_scale(capsys):
     assert "gessel=match" in out.splitlines()
 
 
+def test_ant_gessel_n_zero(capsys):
+    code, out, _ = run_cli(capsys, "ant", "0", "-", "--gessel")
+    assert code == 0
+    assert out.splitlines()[0] == "1"
+    assert "gessel=match" in out.splitlines()
+
+
 def test_ant_colored(capsys):
     code, out, _ = run_cli(capsys, "ant", "2", "1,2", "--colored", "2")
     assert code == 0
@@ -303,6 +310,40 @@ def test_batch_survives_bad_poset_ranks(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "--batch", str(batch))
     assert code == 2
     assert [json.loads(l)["exit"] for l in out.strip().splitlines()] == [0, 2, 0]
+
+
+DEEP_JSON = "[" * 100000 + "]" * 100000
+
+
+def test_poset_undecodable_or_deep_file(tmp_path, capsys):
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes(b'{"elements": ["\xe9"], "covers": []}')
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    for path in (undecodable, deep):
+        code, out, _ = run_cli(capsys, "poset", str(path))
+        assert code == 2
+        assert out.startswith("error=")
+
+
+def test_batch_survives_undecodable_and_deep_lines(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    batch = tmp_path / "batch.txt"
+    batch.write_bytes(b"\n".join([
+        b'["ant", "3", "1,2"]',
+        b'["ant", "3", "\xff"]',
+        DEEP_JSON.encode(),
+        json.dumps(["poset", str(deep)]).encode(),
+        b'["nc", "H4"]',
+    ]) + b"\n")
+    code, out, _ = run_cli(capsys, "--batch", str(batch))
+    assert code == 2
+    records = [json.loads(l) for l in out.strip().splitlines()]
+    assert [r["exit"] for r in records] == [0, 2, 2, 2, 0]
+    assert "utf-8" in records[1]["error"]
+    assert "recursion" in records[2]["error"]
+    assert records[4]["coefficients"] == [1, 275, 842, 232]
 
 
 def test_poset_unhashable_element(tmp_path, capsys):

@@ -27,10 +27,12 @@ from chainpoly import (
     ratio_monotone,
     signed_word_columns,
     signed_word_descent_enumerator,
-    signed_word_descent_enumerator_bruteforce,
     word_ascent_enumerator,
-    word_ascent_enumerator_bruteforce,
     word_descent_enumerator,
+)
+from oracles import (
+    signed_word_descent_enumerator_bruteforce,
+    word_ascent_enumerator_bruteforce,
     word_descent_enumerator_bruteforce,
 )
 
@@ -285,8 +287,11 @@ def test_determinant_enumerator():
             assert det == descent_enumerator(n, t), (n, t)
     # same truncation convention as the direct enumerator
     assert determinant_descent_enumerator(3, frozenset({5})) == Poly([1])
+    # n = 0 gives ONE, as the direct enumerator does
+    assert determinant_descent_enumerator(0, frozenset()) == Poly([1])
+    assert determinant_descent_enumerator(0, frozenset({2})) == descent_enumerator(0, [2])
     with pytest.raises(DomainError):
-        determinant_descent_enumerator(0, frozenset())
+        determinant_descent_enumerator(-1, frozenset())
 
 
 def test_determinant_enumerator_at_scale():

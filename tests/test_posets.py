@@ -223,3 +223,10 @@ def test_load_poset_errors(tmp_path):
         )
         with pytest.raises(PosetFileError):
             load_poset(str(fractional))
+    # JSON booleans are not ranks, although int() reads them as 0 and 1
+    boolean = tmp_path / "boolean_rank.json"
+    boolean.write_text(
+        '{"elements": ["e", "a"], "covers": [["e", "a"]], "ranks": {"e": false, "a": true}}'
+    )
+    with pytest.raises(PosetFileError):
+        load_poset(str(boolean))

@@ -117,6 +117,14 @@ def test_stanley_flag_beta_random_complexes():
                 assert stanley_flag_beta(p, frozenset(s)) == fv.beta(s), (facets, s)
 
 
+def test_stanley_flag_beta_boolean_9():
+    # past the reach of listing all 10! permutations
+    p = boolean_lattice(9)
+    fv = flag_vectors(adjoin_max(p))
+    for s in [(), (1,), (5,), (2, 5), (1, 3, 8), (2, 4, 6, 8), tuple(range(1, 10))]:
+        assert stanley_flag_beta(p, frozenset(s)) == fv.beta(s), s
+
+
 def test_order_complex_h_from_simplicial_h():
     # h of the full order complex mixes h_k with the first-letter rows
     from chainpoly import ZERO, first_letter_descent_polynomials
