@@ -411,7 +411,8 @@ def run_command(ns) -> tuple:
     start = time.perf_counter()
     try:
         code = COMMANDS[ns.command](ns, rep)
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, OverflowError) as exc:
+        # an OverflowError is a size past what Python can index or allocate
         rep.add("error", str(exc))
         code = 3
     except DomainError as exc:

@@ -2,10 +2,10 @@
 
 Two independent routes to the same polynomials.  The concrete route
 builds a reflection group of classical type (permutations for type A,
-signed permutations for B, the even-sign subgroup for D), computes
-absolute lengths by breadth-first search over the reflection Cayley
-graph, and assembles the interval below a fixed Coxeter element as a
-graded bounded poset.  The formula route evaluates closed descent-word
+signed permutations for B, the even-sign subgroup for D), reads every
+absolute length off Carter's lemma, l(w) = codim Fix(w), and generates
+the interval below a fixed Coxeter element upward from the identity as
+a graded bounded poset.  The formula route evaluates closed descent-word
 expressions for the order h-polynomial, with the exceptional types kept
 as a constant table.  The lattice route only scales to small ranks and
 exists chiefly to certify the formula route; everything downstream
@@ -22,7 +22,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations, product
 from typing import Optional, Tuple
 
 from .descents import signed_word_descent_enumerator, word_descent_enumerator
@@ -141,10 +141,27 @@ def _signed_transposition(n: int, i: int, j: int) -> Tuple[int, ...]:
     return tuple(w)
 
 
-def _sign_flip(n: int, i: int) -> Tuple[int, ...]:
-    w = list(range(1, n + 1))
-    w[i - 1] = -i
-    return tuple(w)
+def _absolute_length(w: Tuple[int, ...]) -> int:
+    """Least number of reflections whose product is w, by Carter's lemma.
+
+    The length is codim Fix(w): the degree minus the number of cycles of
+    |w| carrying an even number of negative entries, each of which fixes
+    one line.  For plain permutations that is n minus the cycle count.
+    """
+    seen = [False] * len(w)
+    even = 0
+    for start in range(len(w)):
+        if seen[start]:
+            continue
+        negatives = 0
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            negatives += w[i] < 0
+            i = abs(w[i]) - 1
+        if negatives % 2 == 0:
+            even += 1
+    return len(w) - even
 
 
 @dataclass(frozen=True)
@@ -179,32 +196,24 @@ def build_reflection_group(
     Type A rank k is the symmetric group on k+1 letters with the long
     cycle as Coxeter element; types B and D act on signed letters with
     the usual signed cycle and bipartite product respectively.  The
-    whole group is generated by breadth-first search from the identity,
-    which also yields every absolute length.
+    elements are listed directly as the signed permutations of the
+    family (no signs for A, any signs for B, an even number of negative
+    entries for D), and every absolute length comes from Carter's
+    lemma, l(w) = codim Fix(w); the reflections are the elements of
+    length one.
     """
     fam = t.family
     if fam == "A":
         n = t.param + 1
         order = math.factorial(n)
-        reflections = [
-            _transposition(n, i, j) for i, j in combinations(range(1, n + 1), 2)
-        ]
         gamma = tuple(list(range(2, n + 1)) + [1])
     elif fam == "B":
         n = t.param
         order = 2 ** n * math.factorial(n)
-        reflections = [_sign_flip(n, i) for i in range(1, n + 1)]
-        for i, j in combinations(range(1, n + 1), 2):
-            reflections.append(_transposition(n, i, j))
-            reflections.append(_signed_transposition(n, i, j))
         gamma = tuple(list(range(2, n + 1)) + [-1])
     elif fam == "D":
         n = t.param
         order = 2 ** (n - 1) * math.factorial(n)
-        reflections = []
-        for i, j in combinations(range(1, n + 1), 2):
-            reflections.append(_transposition(n, i, j))
-            reflections.append(_signed_transposition(n, i, j))
         gamma = _signed_transposition(n, 1, 2)
         for i in range(1, n):
             gamma = compose(gamma, _transposition(n, i, i + 1))
@@ -215,29 +224,21 @@ def build_reflection_group(
             "group of order %d exceeds the cap %d" % (order, max_order)
         )
 
-    identity = _identity(n)
-    lengths = {identity: 0}
-    frontier = [identity]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for u in frontier:
-            for r in reflections:
-                v = compose(u, r)
-                if v not in lengths:
-                    lengths[v] = depth
-                    nxt.append(v)
-        frontier = nxt
-    if len(lengths) != order:
-        raise DomainError("reflections failed to generate the expected group")
+    signs = [(1,) * n] if fam == "A" else product((1, -1), repeat=n)
+    elements = sorted(
+        tuple(e * v for e, v in zip(s, w))
+        for s in signs
+        if fam != "D" or s.count(-1) % 2 == 0
+        for w in permutations(range(1, n + 1))
+    )
+    lengths = {w: _absolute_length(w) for w in elements}
     if lengths[gamma] != t.rank:
         raise DomainError("Coxeter element has wrong absolute length")
     return ReflectionGroup(
         coxeter_type=t,
         degree=n,
-        elements=tuple(sorted(lengths)),
-        reflections=frozenset(reflections),
+        elements=tuple(elements),
+        reflections=frozenset(w for w in elements if lengths[w] == 1),
         gamma=gamma,
         lengths=lengths,
     )
@@ -248,32 +249,33 @@ def noncrossing_lattice(
 ) -> GradedBoundedPoset:
     """The interval below a Coxeter element in absolute order.
 
-    Elements are the group members alpha with len(alpha) plus
-    len(alpha^-1 gamma) equal to the rank; covers join consecutive
-    lengths through a single reflection.
+    Generated upward from the identity: b = a t, for a reflection t,
+    covers a inside the interval exactly when l(b) = l(a) + 1 and
+    l(b^-1 gamma) = rank - l(b).  Elements are sorted and covers ordered
+    by rank, then by their lower and upper ends.
     """
     if gamma is None:
         gamma = g.gamma
-    if g.lengths.get(gamma) != g.rank:
+    lengths = g.lengths
+    if lengths.get(gamma) != g.rank:
         raise DomainError("gamma must be an element of absolute length = rank")
-    nc = [
-        a
-        for a in g.elements
-        if g.lengths[a] + g.lengths[compose(inverse(a), gamma)] == g.rank
-    ]
-    by_rank = {}
-    for a in nc:
-        by_rank.setdefault(g.lengths[a], []).append(a)
+    level = [g.identity]
+    ranks = {g.identity: 0}
     covers = []
-    for ell in range(g.rank):
-        uppers = by_rank.get(ell + 1, [])
-        for a in by_rank.get(ell, []):
-            ai = inverse(a)
-            for b in uppers:
-                if compose(ai, b) in g.reflections:
-                    covers.append((a, b))
-    ranks = {a: g.lengths[a] for a in nc}
-    return GradedBoundedPoset(nc, covers, bottom=g.identity, ranks=ranks)
+    for ell in range(1, g.rank + 1):
+        uppers = set()
+        for a in level:
+            above = sorted(
+                b
+                for b in (compose(a, t) for t in g.reflections)
+                if lengths[b] == ell
+                and lengths[compose(inverse(b), gamma)] == g.rank - ell
+            )
+            covers.extend((a, b) for b in above)
+            uppers.update(above)
+        level = sorted(uppers)
+        ranks.update(dict.fromkeys(level, ell))
+    return GradedBoundedPoset(sorted(ranks), covers, bottom=g.identity, ranks=ranks)
 
 
 @lru_cache(maxsize=None)

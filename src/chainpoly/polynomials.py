@@ -291,22 +291,34 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     return Poly(quot)
 
 
+def _remainder_sequence(f0: Poly, f1: Poly) -> tuple:
+    """f0, f1, -rem(f0, f1), ... down to gcd(f0, f1), every member primitive
+    (positive rescaling only, so all signs are preserved)."""
+    chain = [primitive_part(f0)]
+    if not f1.is_zero:
+        chain.append(primitive_part(f1))
+        while True:
+            rem = _poly_rem(chain[-2], chain[-1])
+            if rem.is_zero:
+                break
+            chain.append(primitive_part(-rem))
+    return tuple(chain)
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic-free gcd: primitive integer representative with positive lead.
 
-    Constant nonzero gcds normalize to 1, so coprime inputs return ONE.
+    It is the last member of the remainder sequence of a and b.  Constant
+    nonzero gcds normalize to 1, so coprime inputs return ONE.
     """
-    a = primitive_part(a)
-    b = primitive_part(b)
-    while not b.is_zero:
-        a, b = b, primitive_part(_poly_rem(a, b))
-    if a.is_zero:
+    g = _remainder_sequence(a, b)[-1]
+    if g.is_zero:
         return ZERO
-    if a.leading_coefficient < 0:
-        a = -a
-    if a.degree == 0:
+    if g.leading_coefficient < 0:
+        g = -g
+    if g.degree == 0:
         return ONE
-    return a
+    return g
 
 
 def squarefree_part(p: Poly) -> Poly:

@@ -29,6 +29,7 @@ from .errors import DomainError, NotRealRootedError
 from .polynomials import (
     Poly,
     _poly_rem,
+    _remainder_sequence,
     exact_div,
     poly_gcd,
     primitive_part,
@@ -72,20 +73,6 @@ def _sign_at(p: Poly, x) -> int:
     if acc < 0:
         return -1
     return 0
-
-
-def _remainder_sequence(f0: Poly, f1: Poly) -> tuple:
-    """f0, f1, -rem(f0, f1), ... down to gcd(f0, f1), every member primitive
-    (positive rescaling only, so all signs are preserved)."""
-    chain = [primitive_part(f0)]
-    if not f1.is_zero:
-        chain.append(primitive_part(f1))
-        while True:
-            rem = _poly_rem(chain[-2], chain[-1])
-            if rem.is_zero:
-                break
-            chain.append(primitive_part(-rem))
-    return tuple(chain)
 
 
 @lru_cache(maxsize=None)

@@ -1,14 +1,27 @@
-"""Brute-force word enumerators that only the tests use.
+"""Brute-force oracles that only the tests use.
 
-Each lists every word and counts its descents or ascents directly, so it
-is an enumeration independent of the transfer recurrences in
-``chainpoly.descents`` that it is compared against.
+The word enumerators list every word and count its descents or ascents
+directly, independent of the transfer recurrences in ``chainpoly.descents``.
+The reflection-group oracles find absolute lengths by breadth-first
+search over the reflection Cayley graph, and noncrossing lattices by
+filtering the whole group and testing every pair of consecutive ranks,
+independent of Carter's formula in ``chainpoly.coxeter``.  The
+simplicial oracle compares the order with atom-set containment on every
+pair below each element.
 """
 
-from itertools import product
+from itertools import combinations, product
 
+from chainpoly.coxeter import (
+    _identity,
+    _signed_transposition,
+    _transposition,
+    compose,
+    inverse,
+)
 from chainpoly.errors import DomainError, ResourceLimitError
 from chainpoly.polynomials import Poly
+from chainpoly.posets import GradedBoundedPoset
 
 
 def word_descent_enumerator_bruteforce(n: int, r: int, max_enum: int = 10 ** 6) -> Poly:
@@ -50,3 +63,93 @@ def signed_word_descent_enumerator_bruteforce(n: int, max_enum: int = 10 ** 6) -
                     des += 1
             coeffs[des] += 1
     return Poly(coeffs)
+
+
+def _reflections(family: str, n: int) -> list:
+    """Every reflection of the type A, B or D group acting on n letters."""
+    out = []
+    if family == "B":
+        for i in range(1, n + 1):
+            w = list(range(1, n + 1))
+            w[i - 1] = -i
+            out.append(tuple(w))
+    for i, j in combinations(range(1, n + 1), 2):
+        out.append(_transposition(n, i, j))
+        if family != "A":
+            out.append(_signed_transposition(n, i, j))
+    return out
+
+
+def absolute_lengths_bfs(family: str, n: int) -> dict:
+    """Absolute length of every group element, by breadth-first search
+    from the identity over the reflection Cayley graph."""
+    reflections = _reflections(family, n)
+    identity = _identity(n)
+    lengths = {identity: 0}
+    frontier = [identity]
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for u in frontier:
+            for r in reflections:
+                v = compose(u, r)
+                if v not in lengths:
+                    lengths[v] = depth
+                    nxt.append(v)
+        frontier = nxt
+    return lengths
+
+
+def noncrossing_lattice_pairwise(g, gamma=None) -> GradedBoundedPoset:
+    """The interval [e, gamma] in absolute order: every group element
+    with l(a) + l(a^-1 gamma) = rank, and a cover for every pair at
+    consecutive ranks that differs by a reflection."""
+    if gamma is None:
+        gamma = g.gamma
+    nc = [
+        a
+        for a in g.elements
+        if g.lengths[a] + g.lengths[compose(inverse(a), gamma)] == g.rank
+    ]
+    by_rank = {}
+    for a in nc:
+        by_rank.setdefault(g.lengths[a], []).append(a)
+    covers = []
+    for ell in range(g.rank):
+        uppers = by_rank.get(ell + 1, [])
+        for a in by_rank.get(ell, []):
+            ai = inverse(a)
+            for b in uppers:
+                if compose(ai, b) in g.reflections:
+                    covers.append((a, b))
+    ranks = {a: g.lengths[a] for a in nc}
+    return GradedBoundedPoset(nc, covers, bottom=g.identity, ranks=ranks)
+
+
+def is_simplicial_pairwise(poset: GradedBoundedPoset) -> bool:
+    """Whether every lower interval is Boolean: the counts and distinct
+    atom sets below each y, and order agreeing with atom-set containment
+    on every pair below y."""
+    n_elem = len(poset)
+    up = poset._up
+    atoms = [poset.index(a) for a in poset.levels[1]] if poset.rank >= 1 else []
+    coord = [0] * n_elem
+    for i in range(n_elem):
+        for k, a in enumerate(atoms):
+            if a == i or (up[a] >> i) & 1:
+                coord[i] |= 1 << k
+    for y in range(n_elem):
+        r = poset.rank_of(poset.elements[y])
+        below = [x for x in range(n_elem) if (up[x] >> y) & 1] + [y]
+        if len(below) != 1 << r or bin(coord[y]).count("1") != r:
+            return False
+        if len({coord[x] for x in below}) != len(below):
+            return False
+        for x in below:
+            for z in below:
+                contained = coord[x] & ~coord[z] == 0
+                related = x == z or (up[x] >> z) & 1 == 1
+                if contained != related:
+                    return False
+    return True

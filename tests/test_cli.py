@@ -106,6 +106,40 @@ def test_nc_oracle_cap_before_report(capsys, monkeypatch):
         assert len(lines) == 1 and lines[0].startswith("error="), name
 
 
+@pytest.mark.parametrize("name", ["A7", "B6", "D6"])
+def test_nc_oracle_largest_under_cap(capsys, name):
+    code, out, _ = run_cli(capsys, "nc", name, "--oracle")
+    assert code == 0
+    assert "oracle=match" in out.splitlines()
+
+
+OVERFLOW_LINES = [
+    ["certify", "1,1", "--symdec", "99999999999999999999"],
+    ["nc", "A99999999999999999999"],
+    ["words", "e", "2", "99999999999999999999"],
+]
+
+
+@pytest.mark.parametrize("argv", OVERFLOW_LINES)
+def test_overflow_exits_3(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 3
+    assert out.splitlines()[-1].startswith("error=")
+
+
+def test_batch_survives_overflow(tmp_path, capsys):
+    batch = tmp_path / "batch.txt"
+    batch.write_text("\n".join(
+        json.dumps(line) for line in OVERFLOW_LINES + [["nc", "H3"]]
+    ) + "\n")
+    code, out, _ = run_cli(capsys, "--batch", str(batch))
+    assert code == 3
+    records = [json.loads(l) for l in out.strip().splitlines()]
+    assert [r["exit"] for r in records] == [3, 3, 3, 0]
+    assert all("error" in r for r in records[:3])
+    assert records[3]["coefficients"] == [1, 28, 21]
+
+
 def test_nc_symdec(capsys):
     code, out, _ = run_cli(capsys, "nc", "E8", "--symdec")
     assert code == 0

@@ -24,6 +24,14 @@ from chainpoly import (
     signed_word_descent_enumerator,
     word_descent_enumerator,
 )
+from chainpoly.coxeter import _absolute_length
+from oracles import absolute_lengths_bfs, noncrossing_lattice_pairwise
+
+SMALL_GROUPS = (
+    ["A%d" % k for k in range(1, 7)]
+    + ["B%d" % k for k in range(1, 6)]
+    + ["D%d" % k for k in range(2, 6)]
+)
 
 
 def test_parse_and_rank():
@@ -101,6 +109,31 @@ def test_reflection_group_invariants():
         # absolute length has the parity of any reflection word
         for w, l in g.lengths.items():
             assert 0 <= l <= g.rank
+
+
+@pytest.mark.parametrize("name", SMALL_GROUPS)
+def test_closed_form_length_matches_bfs(name):
+    t = CoxeterType.parse(name)
+    g = build_reflection_group(t)
+    bfs = absolute_lengths_bfs(t.family, g.degree)
+    assert g.lengths == bfs
+    assert g.elements == tuple(sorted(bfs))
+    assert all(_absolute_length(w) == ell for w, ell in bfs.items())
+    assert g.reflections == frozenset(w for w, ell in bfs.items() if ell == 1)
+
+
+@pytest.mark.parametrize("name", SMALL_GROUPS)
+def test_lattice_matches_pairwise_oracle(name):
+    g = build_reflection_group(CoxeterType.parse(name))
+    gammas = [None, (2, 4, 1, 3)] if name == "A3" else [None]
+    for gamma in gammas:
+        lat = noncrossing_lattice(g, gamma=gamma)
+        ref = noncrossing_lattice_pairwise(g, gamma=gamma)
+        assert lat.elements == ref.elements
+        assert lat.covers == ref.covers
+        assert [lat.rank_of(a) for a in lat.elements] == [
+            ref.rank_of(a) for a in ref.elements
+        ]
 
 
 def test_group_order_cap():

@@ -1,0 +1,28 @@
+"""Byte-for-byte CLI output against recorded runs.
+
+``golden/cli.json`` holds the argv, exit code and stdout of the README
+command lines (on the README's example poset and batch file), of
+``nc A5/B4/D5 --oracle --json`` and of a batch of ``nc --oracle`` lines
+that includes the over-cap ``A9``.  Default output must not change, so
+any difference is a regression.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from chainpoly.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+RECORDS = json.loads((GOLDEN / "cli.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "record", RECORDS, ids=[" ".join(r["argv"]) for r in RECORDS]
+)
+def test_cli_output_unchanged(record, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    code = main(record["argv"])
+    assert capsys.readouterr().out == record["stdout"]
+    assert code == record["exit"]

@@ -5,6 +5,7 @@ import pytest
 
 from chainpoly import (
     DomainError,
+    GradedBoundedPoset,
     Poly,
     adjoin_max,
     boolean_lattice,
@@ -18,6 +19,7 @@ from chainpoly import (
     simplicial_h,
     stanley_flag_beta,
 )
+from oracles import is_simplicial_pairwise
 
 
 def random_complex(rng, nverts, dim):
@@ -25,6 +27,28 @@ def random_complex(rng, nverts, dim):
     pool = list(combinations(verts, dim + 1))
     facets = rng.sample(pool, k=min(len(pool), rng.randint(1, 4)))
     return facets
+
+
+def random_graded_poset(rng, rank):
+    """Levels of 1-4 elements; each element covers a random nonempty set
+    of the level below, most often as many elements as its rank, as a
+    simplicial poset would, and every non-top element is covered."""
+    levels = [[(0, 0)]] + [
+        [(k, i) for i in range(rng.randint(1, 4))] for k in range(1, rank + 1)
+    ]
+    covers = set()
+    for k in range(1, rank + 1):
+        lower = levels[k - 1]
+        for y in levels[k]:
+            size = min(k, len(lower))
+            if rng.random() < 0.3:
+                size = rng.randint(1, len(lower))
+            covers.update((x, y) for x in rng.sample(lower, size))
+        for x in lower:
+            if not any((x, y) in covers for y in levels[k]):
+                covers.add((x, rng.choice(levels[k])))
+    elements = [x for level in levels for x in level]
+    return GradedBoundedPoset(elements, sorted(covers), bottom=(0, 0))
 
 
 def test_boolean_lattice_shape():
@@ -63,6 +87,17 @@ def test_is_simplicial():
         [(0, "v1"), (0, "v2"), ("v1", "e1"), ("v2", "e1"), ("v1", "e2"), ("v2", "e2")],
     )
     assert is_simplicial(double)
+
+
+def test_is_simplicial_matches_pairwise_oracle():
+    rng = random.Random(3)
+    posets = [random_graded_poset(rng, rng.randint(0, 4)) for _ in range(1500)]
+    posets += [boolean_lattice(n) for n in range(5)]
+    posets += [colored_subset_poset(n, r) for n, r in [(2, 2), (3, 2), (2, 3)]]
+    posets += [face_poset(random_complex(rng, 5, rng.randint(1, 2))) for _ in range(20)]
+    verdicts = [is_simplicial(p) for p in posets]
+    assert verdicts == [is_simplicial_pairwise(p) for p in posets]
+    assert 100 < sum(verdicts) < len(verdicts) - 100
 
 
 def test_simplicial_h_values():
