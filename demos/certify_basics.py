@@ -3,17 +3,17 @@ Exact certification on small polynomials
 ========================================
 
 Everything below runs in exact arithmetic: integer Sturm sequences for
-counting real roots, rational bisection for isolating them, and a Cauchy
-index read off an integer remainder sequence for interlacing.  No floats
-anywhere.
+counting real roots, and a Cauchy index read off an integer remainder
+sequence for interlacing.  Every verdict is read from sign variations at
+plus and minus infinity; no floats anywhere.
 """
 
 from chainpoly import (
     Poly,
     interlaces,
     is_real_rooted,
-    isolate_real_roots,
     mode,
+    real_rootedness,
     symmetric_decomposition,
     has_nonneg_realrooted_symdec,
 )
@@ -24,15 +24,15 @@ print("p =", p.coeffs)
 print("real-rooted:", is_real_rooted(p))
 print("mode:", mode(p))
 
-# Root isolation returns disjoint rational intervals with multiplicities.
-iso = isolate_real_roots(p)
-for lo, hi, mult in iso.intervals:
-    print("root in [%s, %s] multiplicity %d" % (lo, hi, mult))
+# The certificate: distinct real roots counted by the Sturm chain, equal
+# to the degree of the squarefree part exactly when p is real-rooted.
+print("certificate:", real_rootedness(p))
 
-# A polynomial with a repeated root; multiplicity is tracked exactly.
+# A polynomial with a repeated root: the gcd with its derivative absorbs
+# the repetition, so 2 distinct roots certify the squarefree degree 2.
 q = Poly([1, 1]) ** 2 * Poly([3, 1])
 print("\nq =", q.coeffs)
-print("intervals:", isolate_real_roots(q).intervals)
+print("certificate:", real_rootedness(q))
 
 # Interlacing: the roots of 1 + x sit between the roots of p.
 print("\n1 + x interlaces p:", interlaces(Poly([1, 1]), p))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -203,26 +204,30 @@ def build_reflection_group(
     length one.
     """
     fam = t.family
-    if fam == "A":
-        n = t.param + 1
-        order = math.factorial(n)
-        gamma = tuple(list(range(2, n + 1)) + [1])
-    elif fam == "B":
-        n = t.param
-        order = 2 ** n * math.factorial(n)
-        gamma = tuple(list(range(2, n + 1)) + [-1])
-    elif fam == "D":
-        n = t.param
-        order = 2 ** (n - 1) * math.factorial(n)
-        gamma = _signed_transposition(n, 1, 2)
-        for i in range(1, n):
-            gamma = compose(gamma, _transposition(n, i, i + 1))
-    else:
+    if fam not in ("A", "B", "D"):
         raise DomainError("no concrete group model for type %s" % t)
+    n = t.param + 1 if fam == "A" else t.param
+    # n! for A, 2^n n! for B and 2^(n-1) n! for D, factor by factor: an
+    # order too long for "%d" stops as soon as it has too many digits
+    digits = sys.get_int_max_str_digits()
+    too_long = 10 ** digits if digits else math.inf
+    order = 1
+    for i in range(2 if fam != "B" else 1, n + 1):
+        order *= i if fam == "A" else 2 * i
+        if order >= too_long:
+            raise ResourceLimitError(
+                "group of type %s exceeds the cap %d" % (t, max_order)
+            )
     if order > max_order:
         raise ResourceLimitError(
             "group of order %d exceeds the cap %d" % (order, max_order)
         )
+    if fam == "D":
+        gamma = _signed_transposition(n, 1, 2)
+        for i in range(1, n):
+            gamma = compose(gamma, _transposition(n, i, i + 1))
+    else:
+        gamma = tuple(range(2, n + 1)) + ((1,) if fam == "A" else (-1,))
 
     signs = [(1,) * n] if fam == "A" else product((1, -1), repeat=n)
     elements = sorted(

@@ -9,9 +9,9 @@ No floating point enters any computation here.
 Besides ring arithmetic the module provides the coefficient-level
 operations used by the combinatorial layers: reversal x^n p(1/x), the
 r-th Veronese section (every r-th coefficient), monomial substitution
-p(x^k), gcd / exact division / squarefree machinery over Q, and the shape
-predicates (symmetry, unimodality, log-concavity, mode) that the
-certification reports quote.
+p(x^k), gcd and exact division over Q, and the shape predicates
+(symmetry, unimodality, log-concavity, mode) that the certification
+reports quote.
 """
 
 from __future__ import annotations
@@ -319,46 +319,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if g.degree == 0:
         return ONE
     return g
-
-
-def squarefree_part(p: Poly) -> Poly:
-    """Primitive squarefree polynomial with the same distinct roots as p."""
-    if p.is_zero:
-        raise DomainError("the zero polynomial has no squarefree part")
-    prim = primitive_part(p)
-    if prim.degree == 0:
-        return ONE
-    g = poly_gcd(prim, prim.derivative())
-    sf = primitive_part(exact_div(prim, g))
-    if sf.leading_coefficient < 0:
-        sf = -sf
-    return sf
-
-
-def squarefree_decomposition(p: Poly) -> list:
-    """Yun decomposition: [(f_1, 1), (f_2, 2), ...] with pairwise coprime
-    squarefree f_i, nonconstant factors only, product of f_i^i = p up to a
-    rational constant."""
-    if p.is_zero:
-        raise DomainError("the zero polynomial has no squarefree decomposition")
-    prim = primitive_part(p)
-    if prim.degree == 0:
-        return []
-    g = poly_gcd(prim, prim.derivative())
-    if g.degree == 0:
-        return [(squarefree_part(prim), 1)]
-    out = []
-    c = exact_div(prim, g)
-    d = exact_div(prim.derivative(), g) - c.derivative()
-    k = 1
-    while c.degree > 0:
-        f = poly_gcd(c, d)
-        if f.degree > 0:
-            out.append((f, k))
-        c = exact_div(c, f)
-        d = exact_div(d, f) - c.derivative()
-        k += 1
-    return out
 
 
 def _binomial_transform(p: Poly, n: int, sign: int) -> Poly:

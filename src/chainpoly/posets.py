@@ -36,6 +36,14 @@ def _add_into(target: list, addend: list) -> list:
     return target
 
 
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class Poset:
     """Finite poset given by elements and cover relations.
 
@@ -151,14 +159,17 @@ class Poset:
         """Induced subposet on the given elements, covers recomputed."""
         keep = set(keep)
         keep_list = [x for x in self._elements if x in keep]
-        idx = [self._index[x] for x in keep_list]
-        rel = {i: self._up[i] for i in idx}
+        mask = 0
+        for x in keep_list:
+            mask |= 1 << self._index[x]
         covers = []
-        for a in idx:
-            ups = [b for b in idx if (rel[a] >> b) & 1]
-            for b in ups:
-                if not any((rel[c] >> b) & 1 for c in ups):
-                    covers.append((self._elements[a], self._elements[b]))
+        for x in keep_list:
+            # covers: kept elements above x and above no other kept one above x
+            above = self._up[self._index[x]] & mask
+            reach = 0
+            for j in _bits(above):
+                reach |= self._up[j]
+            covers.extend((x, self._elements[j]) for j in _bits(above & ~reach))
         return Poset(keep_list, covers, validate=False)
 
     def proper_part(self) -> "Poset":
@@ -267,11 +278,7 @@ def chain_polynomial(poset: Poset) -> Poly:
     total = [1]
     for i in reversed(poset._topo):
         acc = [1]
-        m = up[i]
-        while m:
-            low = m & -m
-            j = low.bit_length() - 1
-            m ^= low
+        for j in _bits(up[i]):
             _add_into(acc, c[j])
         ci = [0] + acc
         c[i] = ci

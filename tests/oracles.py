@@ -7,7 +7,8 @@ search over the reflection Cayley graph, and noncrossing lattices by
 filtering the whole group and testing every pair of consecutive ranks,
 independent of Carter's formula in ``chainpoly.coxeter``.  The
 simplicial oracle compares the order with atom-set containment on every
-pair below each element.
+pair below each element, and the subposet oracle finds covers by testing
+every pair of kept elements.
 """
 
 from itertools import combinations, product
@@ -21,7 +22,7 @@ from chainpoly.coxeter import (
 )
 from chainpoly.errors import DomainError, ResourceLimitError
 from chainpoly.polynomials import Poly
-from chainpoly.posets import GradedBoundedPoset
+from chainpoly.posets import GradedBoundedPoset, Poset
 
 
 def word_descent_enumerator_bruteforce(n: int, r: int, max_enum: int = 10 ** 6) -> Poly:
@@ -153,3 +154,17 @@ def is_simplicial_pairwise(poset: GradedBoundedPoset) -> bool:
                 if contained != related:
                     return False
     return True
+
+
+def subposet_pairwise(poset: Poset, keep) -> Poset:
+    """Induced subposet: b covers a when a < b and no kept c above a is
+    below b, tested for every pair of kept elements."""
+    keep = set(keep)
+    keep_list = [x for x in poset.elements if x in keep]
+    covers = []
+    for a in keep_list:
+        ups = [b for b in keep_list if poset.less(a, b)]
+        for b in ups:
+            if not any(poset.less(c, b) for c in ups):
+                covers.append((a, b))
+    return Poset(keep_list, covers, validate=False)

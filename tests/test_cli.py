@@ -127,17 +127,28 @@ def test_overflow_exits_3(capsys, argv):
     assert out.splitlines()[-1].startswith("error=")
 
 
+# group orders past the digits Python will print
+UNPRINTABLE_ORDER_LINES = [["nc", "A1700", "--oracle"], ["nc", "B2000000", "--oracle"]]
+
+
+@pytest.mark.parametrize("argv", UNPRINTABLE_ORDER_LINES)
+def test_unprintable_group_order_exits_3(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 3
+    expected = "error=group of type %s exceeds the cap 50000" % argv[1]
+    assert out.splitlines()[-1] == expected
+
+
 def test_batch_survives_overflow(tmp_path, capsys):
+    lines = OVERFLOW_LINES + UNPRINTABLE_ORDER_LINES + [["nc", "H3"]]
     batch = tmp_path / "batch.txt"
-    batch.write_text("\n".join(
-        json.dumps(line) for line in OVERFLOW_LINES + [["nc", "H3"]]
-    ) + "\n")
+    batch.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
     code, out, _ = run_cli(capsys, "--batch", str(batch))
     assert code == 3
     records = [json.loads(l) for l in out.strip().splitlines()]
-    assert [r["exit"] for r in records] == [3, 3, 3, 0]
-    assert all("error" in r for r in records[:3])
-    assert records[3]["coefficients"] == [1, 28, 21]
+    assert [r["exit"] for r in records] == [3, 3, 3, 3, 3, 0]
+    assert all("error" in r for r in records[:5])
+    assert records[5]["coefficients"] == [1, 28, 21]
 
 
 def test_nc_symdec(capsys):

@@ -20,8 +20,6 @@ from chainpoly import (
     mode,
     parse_poly,
     poly_gcd,
-    squarefree_decomposition,
-    squarefree_part,
     unimodal_peaks,
     veronese,
 )
@@ -135,30 +133,6 @@ def test_poly_gcd():
     assert g == Poly([1, 1])
     assert poly_gcd(p, ZERO) == Poly([-1, 0, 1]).scale(1)
     assert poly_gcd(ZERO, ZERO) == ZERO
-
-
-def test_squarefree():
-    p = Poly([1, 1]) ** 3 * Poly([-2, 1])
-    assert squarefree_part(p) == Poly([1, 1]) * Poly([-2, 1])
-    decomp = squarefree_decomposition(p)
-    rebuilt = ONE
-    for factor, m in decomp:
-        rebuilt = rebuilt * factor ** m
-    assert rebuilt == p
-    mults = sorted(m for _, m in decomp)
-    assert mults == [1, 3]
-
-
-@given(st.lists(st.integers(-5, 5), min_size=1, max_size=4),
-       st.lists(st.integers(-5, 5), min_size=1, max_size=3),
-       st.integers(1, 3))
-@settings(max_examples=60)
-def test_squarefree_ignores_multiplicity(a, b, m):
-    p = Poly(a)
-    q = Poly(b)
-    if p == ZERO or q == ZERO:
-        return
-    assert squarefree_part(p * q ** m) == squarefree_part(p * q)
 
 
 def test_symmetry():

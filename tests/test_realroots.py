@@ -10,7 +10,6 @@ from chainpoly import (
     ONE,
     X,
     ZERO,
-    DomainError,
     NotRealRootedError,
     Poly,
     RealRootedness,
@@ -19,7 +18,6 @@ from chainpoly import (
     interlaces,
     is_interlacing_sequence,
     is_real_rooted,
-    isolate_real_roots,
     real_rootedness,
     sturm_chain,
     wronskian_semidefinite,
@@ -70,36 +68,6 @@ def test_sturm_chain_sign_changes():
 @settings(max_examples=60)
 def test_distinct_root_count_matches_construction(roots):
     assert count_distinct_real_roots(linear_product(sorted(roots))) == len(roots)
-
-
-def test_isolation_with_multiplicities():
-    p = Poly([1, 1]) ** 3 * Poly([-5, 1]) ** 2 * Poly([0, 1])
-    iso = isolate_real_roots(p)
-    intervals = iso.intervals
-    assert len(intervals) == 3
-    assert iso.real_root_count == 6
-    assert iso.nonreal_count == 0
-    found = {}
-    for lo, hi, m in intervals:
-        assert lo <= hi
-        for root in (-1, 0, 5):
-            if lo <= root <= hi:
-                found[root] = m
-    assert found == {-1: 3, 0: 1, 5: 2}
-    # intervals are pairwise disjoint and ordered
-    for (_, hi1, _), (lo2, _, _) in zip(intervals, intervals[1:]):
-        assert hi1 < lo2
-
-
-def test_isolation_counts_nonreal_roots():
-    iso = isolate_real_roots(Poly([1, 0, 1]))
-    assert iso.intervals == ()
-    assert iso.nonreal_count == 2
-    mixed = isolate_real_roots(Poly([1, 0, 1]) * Poly([2, 1]))
-    assert mixed.real_root_count == 1
-    assert mixed.nonreal_count == 2
-    with pytest.raises(DomainError):
-        isolate_real_roots(ZERO)
 
 
 def test_interlaces_conventions():
@@ -237,14 +205,22 @@ def test_wronskian_equivalence_random(a, b):
     assert either == wronskian_semidefinite(p, q)
 
 
+@given(st.dictionaries(half_integers, st.integers(1, 4), max_size=4),
+       st.integers(0, 2), st.integers(1, 5), leads)
+@settings(max_examples=200, deadline=None)
+def test_wronskian_reads_multiplicity_parity(multiplicities, j, d, c):
+    # w = c prod (x - r)^m (x^2 + d)^j and q = integral of -w, so that
+    # the Wronskian of (1, q) is w itself
+    w = Poly([d, 0, 1]) ** j * c
+    for r, m in multiplicities.items():
+        w = w * Poly([-r, 1]) ** m
+    q = Poly([0] + [-Fraction(a) / (i + 1) for i, a in enumerate(w.coeffs)])
+    assert q.derivative() == -w
+    expected = all(m % 2 == 0 for m in multiplicities.values())
+    assert wronskian_semidefinite(ONE, q) == expected
+
+
 def test_descent_enumerators_real_rooted():
     for n in range(1, 8):
         assert is_real_rooted(descent_enumerator(n, frozenset(range(1, n))))
 
-
-def test_isolation_refines_across_factors():
-    # close roots of different multiplicity must land in disjoint intervals
-    p = Poly([-1, 1]) ** 2 * Poly([Fraction(-9, 8), 1])
-    ivs = isolate_real_roots(p).intervals
-    assert [m for _, _, m in ivs] == [2, 1]
-    assert ivs[0][1] < ivs[1][0]

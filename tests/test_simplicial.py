@@ -19,7 +19,7 @@ from chainpoly import (
     simplicial_h,
     stanley_flag_beta,
 )
-from oracles import is_simplicial_pairwise
+from oracles import is_simplicial_pairwise, subposet_pairwise
 
 
 def random_complex(rng, nverts, dim):
@@ -98,6 +98,16 @@ def test_is_simplicial_matches_pairwise_oracle():
     verdicts = [is_simplicial(p) for p in posets]
     assert verdicts == [is_simplicial_pairwise(p) for p in posets]
     assert 100 < sum(verdicts) < len(verdicts) - 100
+
+
+def test_subposet_matches_pairwise_oracle():
+    rng = random.Random(5)
+    posets = [random_graded_poset(rng, rng.randint(0, 5)) for _ in range(600)]
+    posets += [boolean_lattice(4), colored_subset_poset(3, 2)]
+    for p in posets:
+        for keep in (p.elements, [x for x in p.elements if rng.random() < 0.6]):
+            sub, oracle = p.subposet(keep), subposet_pairwise(p, keep)
+            assert (sub.elements, sub.covers) == (oracle.elements, oracle.covers)
 
 
 def test_simplicial_h_values():
