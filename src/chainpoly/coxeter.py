@@ -23,12 +23,12 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
 from typing import Optional, Tuple
 
 from .descents import signed_word_descent_enumerator, word_descent_enumerator
 from .errors import DomainError, ResourceLimitError
-from .polynomials import Poly, X, f_from_h, unimodal_peaks, veronese
+from .polynomials import Poly, f_from_h, unimodal_peaks, veronese
 from .posets import GradedBoundedPoset
 from .realroots import is_real_rooted
 from .symdecomp import has_nonneg_realrooted_symdec, symmetric_decomposition
@@ -366,38 +366,52 @@ def flag_f_nc_d(n: int, k: int) -> int:
     return total
 
 
-def _geometric(r: int) -> Poly:
-    return Poly([1] * r)
+def _window_sums(cs: list, r: int, times: int) -> list:
+    """cs * (1 + x + ... + x^(r-1))^times, as `times` running-window sums
+    of width r over a coefficient list."""
+    pad = [0] * (r - 1)
+    for _ in range(times):
+        prefix = list(accumulate(cs + pad, initial=0))
+        cs = [hi - lo for hi, lo in zip(prefix[1:], pad + prefix)]
+    return cs
+
+
+def _veronese_product(t: CoxeterType) -> Optional[Poly]:
+    """The Veronese-section side of the reversed-h identity; None for types
+    it does not cover.
+
+    Type A rank k (n = k+1): the n-th section of x(1+x+...+x^(n-1))^n.
+    Type B rank n: the n-th section of x(1+...+x^(n-1))^(n+1).  Type D
+    rank n: the (n-1)-th section of (x+x^2)(1+...+x^(n-2))^(n+1).
+    """
+    fam = t.family
+    if fam == "A":
+        n = t.param + 1
+        return veronese(Poly([0] + _window_sums([1], n, n)), n)
+    if fam == "B":
+        n = t.param
+        return veronese(Poly([0] + _window_sums([1], n, n + 1)), n)
+    if fam == "D":
+        n = t.param
+        return veronese(Poly([0] + _window_sums([1, 1], n - 1, n + 1)), n - 1)
+    return None
 
 
 def nc_reversed_h_identity(t: CoxeterType) -> Optional[bool]:
     """Whether the reversed h-polynomial matches its Veronese-section
     product form; None for types the identity does not cover.
 
-    Type A rank k (n = k+1): n times the degree-(n-1) reversal equals
-    the n-th section of x(1+x+...+x^(n-1))^n.  Type B rank n: the
-    degree-n reversal equals the n-th section of x(1+...+x^(n-1))^(n+1).
-    Type D rank n: the degree-n reversal equals the (n-1)-th section of
-    (x+x^2)(1+...+x^(n-2))^(n+1).
+    Type A rank k (n = k+1): n times the degree-(n-1) reversal of h.
+    Types B and D rank n: the degree-n reversal.  The right-hand sides
+    are in _veronese_product.
     """
+    rhs = _veronese_product(t)
+    if rhs is None:
+        return None
     h = nc_h_formula(t)
-    fam = t.family
-    if fam == "A":
-        n = t.param + 1
-        lhs = h.reverse(n - 1).scale(n)
-        rhs = veronese(X * _geometric(n) ** n, n)
-        return lhs == rhs
-    if fam == "B":
-        n = t.param
-        lhs = h.reverse(n)
-        rhs = veronese(X * _geometric(n) ** (n + 1), n)
-        return lhs == rhs
-    if fam == "D":
-        n = t.param
-        lhs = h.reverse(n)
-        rhs = veronese((X + X * X) * _geometric(n - 1) ** (n + 1), n - 1)
-        return lhs == rhs
-    return None
+    if t.family == "A":
+        return h.reverse(t.param).scale(t.param + 1) == rhs
+    return h.reverse(t.param) == rhs
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,14 @@ r-th Veronese section (every r-th coefficient), monomial substitution
 p(x^k), gcd and exact division over Q, and the shape predicates
 (symmetry, unimodality, log-concavity, mode) that the certification
 reports quote.
+
+The remainder sequence behind gcd and every certificate in realroots
+runs on plain integer coefficient lists.  Its inputs are cleared of
+denominators and made primitive once; each member after them is one
+pseudo-remainder, scaled by the absolute lead of the divisor so every
+sign survives, then divided by the gcd of its entries.  No Poly and no
+Fraction is built per member.  Exact division splits off the contents
+and long-divides the primitive parts over Z (Gauss's lemma).
 """
 
 from __future__ import annotations
@@ -143,8 +151,9 @@ class Poly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __call__(self, x: Scalar) -> Scalar:
@@ -220,6 +229,13 @@ def veronese(p: Poly, r: int) -> Poly:
     return Poly(p.coeffs[::r])
 
 
+def _cleared(p: Poly) -> tuple:
+    """(d, the coefficients of d * p) with d the lcm of the denominators
+    of p: the one place where a coefficient list leaves Q for Z."""
+    denom = math.lcm(*(c.denominator for c in p.coeffs))
+    return denom, [int(c * denom) for c in p.coeffs] if denom > 1 else list(p.coeffs)
+
+
 def content_and_primitive(p: Poly) -> tuple:
     """Split p = content * primitive with positive rational content.
 
@@ -228,14 +244,8 @@ def content_and_primitive(p: Poly) -> tuple:
     """
     if p.is_zero:
         return Fraction(0), ZERO
-    denom = 1
-    for c in p.coeffs:
-        if isinstance(c, Fraction):
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in p.coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
+    denom, ints = _cleared(p)
+    g = math.gcd(*ints)
     return Fraction(g, denom), Poly([c // g for c in ints])
 
 
@@ -243,66 +253,87 @@ def primitive_part(p: Poly) -> Poly:
     return content_and_primitive(p)[1]
 
 
-def _poly_rem(a: Poly, b: Poly) -> Poly:
-    """Remainder of integer a by nonzero integer b, times a positive integer
-    so that it stays integral and keeps the signs Sturm chains read."""
-    if b.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    bc = b.coeffs if b.coeffs[-1] > 0 else (-b).coeffs
-    lead = bc[-1]
-    db = len(bc) - 1
-    rem = list(a.coeffs)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        for k in range(i):
-            rem[k] *= lead
-        rem[i] = 0
-        for j in range(db):
-            rem[i - db + j] -= c * bc[j]
-    return Poly(rem)
+def _integer_coeffs(p: Poly) -> list:
+    """A positive integer multiple of p as a coefficient list."""
+    return _cleared(p)[1]
+
+
+def _primitive(cs: list) -> list:
+    """An integer coefficient list divided by the gcd of its entries."""
+    g = math.gcd(*cs)
+    return [c // g for c in cs] if g > 1 else cs
+
+
+def _prem(a: list, b: list) -> list:
+    """Remainder of integer list a by nonzero integer list b, times a
+    positive integer so that it stays integral and keeps every sign a
+    Sturm chain reads: each elimination step scales by |lc(b)|."""
+    if b[-1] < 0:
+        b = [-c for c in b]
+    lead, db = b[-1], len(b) - 1
+    rem = list(a)
+    while len(rem) > db:
+        c = rem.pop()
+        if c:
+            rem = [lead * r - c * d for r, d in zip(rem, [0] * (len(rem) - db) + b)]
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem
+
+
+def _exact_quotient(a: list, b: list) -> list:
+    """Quotient of integer lists a / b over Z, b nonzero, by long division
+    with divmod on the lead; DomainError unless it is exact."""
+    lead, db = b[-1], len(b) - 1
+    rem = list(a)
+    quot = []
+    while len(rem) > db:
+        q, r = divmod(rem.pop(), lead)
+        if r:
+            raise DomainError("inexact polynomial division")
+        quot.append(q)
+        if q:
+            s = len(rem) - db
+            rem[s:] = [c - q * d for c, d in zip(rem[s:], b)]
+    if any(rem):
+        raise DomainError("inexact polynomial division")
+    quot.reverse()
+    return quot
 
 
 def exact_div(a: Poly, b: Poly) -> Poly:
-    """Quotient a / b, raising DomainError unless the division is exact."""
+    """Quotient a / b, raising DomainError unless the division is exact.
+
+    With a = ca * pa and b = cb * pb split into contents and primitive
+    parts, pb divides pa over Q exactly when it does so over Z (Gauss's
+    lemma), so one integer long division decides it and a / b is
+    (ca / cb) * (pa / pb).
+    """
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero:
         return ZERO
-    rem = list(a.coeffs)
-    bc = b.coeffs
-    db = len(bc) - 1
-    da = len(rem) - 1
-    if da < db:
-        raise DomainError("inexact polynomial division")
-    inv_lead = Fraction(1, 1) / Fraction(bc[-1])
-    quot = [0] * (da - db + 1)
-    for i in range(da, db - 1, -1):
-        if rem[i] == 0:
-            continue
-        factor = rem[i] * inv_lead
-        quot[i - db] = factor
-        rem[i] = 0
-        for j in range(db):
-            rem[i - db + j] -= factor * bc[j]
-    if any(c != 0 for c in rem):
-        raise DomainError("inexact polynomial division")
-    return Poly(quot)
+    ca, pa = content_and_primitive(a)
+    cb, pb = content_and_primitive(b)
+    quot = _exact_quotient(pa.coeffs, pb.coeffs)
+    ratio = ca / cb
+    return Poly(quot if ratio == 1 else [c * ratio for c in quot])
 
 
-def _remainder_sequence(f0: Poly, f1: Poly) -> tuple:
-    """f0, f1, -rem(f0, f1), ... down to gcd(f0, f1), every member primitive
-    (positive rescaling only, so all signs are preserved)."""
-    chain = [primitive_part(f0)]
-    if not f1.is_zero:
-        chain.append(primitive_part(f1))
+def _remainder_sequence(f0: list, f1: list) -> list:
+    """f0, f1, -rem(f0, f1), ... down to gcd(f0, f1) for integer
+    coefficient lists, every member a primitive integer list (positive
+    rescaling only, so all signs are preserved)."""
+    chain = [_primitive(f0)]
+    if f1:
+        chain.append(_primitive(f1))
         while True:
-            rem = _poly_rem(chain[-2], chain[-1])
-            if rem.is_zero:
+            rem = _prem(chain[-2], chain[-1])
+            if not rem:
                 break
-            chain.append(primitive_part(-rem))
-    return tuple(chain)
+            g = math.gcd(*rem)
+            chain.append([c // -g for c in rem])
+    return chain
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -311,14 +342,12 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     It is the last member of the remainder sequence of a and b.  Constant
     nonzero gcds normalize to 1, so coprime inputs return ONE.
     """
-    g = _remainder_sequence(a, b)[-1]
-    if g.is_zero:
+    g = _remainder_sequence(_integer_coeffs(a), _integer_coeffs(b))[-1]
+    if not g:
         return ZERO
-    if g.leading_coefficient < 0:
-        g = -g
-    if g.degree == 0:
+    if len(g) == 1:
         return ONE
-    return g
+    return Poly(g if g[-1] > 0 else [-c for c in g])
 
 
 def _binomial_transform(p: Poly, n: int, sign: int) -> Poly:

@@ -8,6 +8,9 @@ p, p', ..., gcd(p, p') that index counts the distinct real roots of p,
 and p is real-rooted exactly when it equals deg(p) - deg(gcd(p, p')).
 No polynomial is evaluated at a finite point: the sign of a member at
 +-inf is the sign of its lead, flipped at -inf when its degree is odd.
+Inside the kernel every chain member is a plain ascending list of
+integers, so V reads the lead as m[-1] and the degree parity from
+len(m); only sturm_chain wraps the members in Poly, at its return.
 
 Interlacing p <= q (every root of q weakly separated by a root of p,
 largest root of q outermost) locates no root.  Common roots never break
@@ -35,25 +38,29 @@ from typing import Sequence
 from .errors import NotRealRootedError
 from .polynomials import (
     Poly,
-    _poly_rem,
+    _exact_quotient,
+    _integer_coeffs,
+    _prem,
     _remainder_sequence,
-    exact_div,
-    poly_gcd,
-    primitive_part,
 )
+
+
+def _sturm(f: list) -> list:
+    """The remainder sequence of the integer list f and its derivative."""
+    return _remainder_sequence(f, [i * c for i, c in enumerate(f)][1:])
 
 
 def sturm_chain(p: Poly) -> tuple:
     """Sturm chain p, p', ..., gcd(p, p'), every member primitive; it
     counts distinct real roots even when p is not squarefree."""
-    return _remainder_sequence(p, p.derivative())
+    return tuple(Poly(m) for m in _sturm(_integer_coeffs(p)))
 
 
-def _variations(chain: tuple) -> tuple:
-    """Sign variations (V(-inf), V(+inf)) of a chain, read from the sign of
-    each lead and the parity of each degree; zero members are skipped."""
-    ends = [(m.leading_coefficient > 0, m.degree % 2 == 1)
-            for m in chain if not m.is_zero]
+def _variations(chain: list) -> tuple:
+    """Sign variations (V(-inf), V(+inf)) of a chain of integer lists,
+    read from the sign of each lead and the parity of each degree; zero
+    members are skipped."""
+    ends = [(m[-1] > 0, len(m) % 2 == 0) for m in chain if m]
     pairs = list(zip(ends, ends[1:]))
     vneg = sum((a != da) != (b != db) for (a, da), (b, db) in pairs)
     vpos = sum(a != b for (a, _), (b, _) in pairs)
@@ -81,13 +88,13 @@ def real_rootedness(p: Poly) -> RealRootedness:
     of the chain of sf = p / gcd(p, p'), which equal the ones on the chain
     of p unless p is neither squarefree nor real-rooted.
     """
-    chain = sturm_chain(p)
+    chain = _sturm(_integer_coeffs(p))
     gcd = chain[-1]
-    sf_degree = p.degree - gcd.degree
+    sf_degree = len(chain[0]) - len(gcd)
     vneg, vpos = _variations(chain)
     roots = vneg - vpos
-    if roots != sf_degree and gcd.degree > 0:
-        vneg, vpos = _variations(sturm_chain(exact_div(chain[0], gcd)))
+    if roots != sf_degree and len(gcd) > 1:
+        vneg, vpos = _variations(_sturm(_exact_quotient(chain[0], gcd)))
     return RealRootedness(roots == sf_degree, p.degree, sf_degree, roots, vneg, vpos)
 
 
@@ -120,16 +127,18 @@ def interlaces(p: Poly, q: Poly) -> bool:
         return False
     if s == 0:
         return True
-    g = poly_gcd(p, q)
-    pg = exact_div(primitive_part(p), g)  # primitive, by Gauss's lemma
-    qg = exact_div(primitive_part(q), g)
-    if qg.degree == 0:
+    chain = _remainder_sequence(_integer_coeffs(p), _integer_coeffs(q))
+    # p / g and q / g for g = +-gcd(p, q), primitive by Gauss's lemma; a
+    # common sign flip leaves every variation count below unchanged
+    pg = _exact_quotient(chain[0], chain[-1])
+    qg = _exact_quotient(chain[1], chain[-1])
+    if len(qg) == 1:
         return True
     sign = 1 if (p.leading_coefficient > 0) == (q.leading_coefficient > 0) else -1
-    if pg.degree == qg.degree:
-        pg = _poly_rem(pg, qg)  # the polynomial part has no poles
+    if len(pg) == len(qg):
+        pg = _prem(pg, qg)  # the polynomial part has no poles
     vneg, vpos = _variations(_remainder_sequence(qg, pg))
-    return vneg - vpos == qg.degree * sign
+    return vneg - vpos == (len(qg) - 1) * sign
 
 
 def is_interlacing_sequence(ps: Sequence[Poly]) -> bool:
@@ -151,10 +160,10 @@ def wronskian_semidefinite(p: Poly, q: Poly) -> bool:
     Decided by the alternating sum of distinct real root counts along
     w, gcd(w, w'), ..., see the module docstring.
     """
-    w = p.derivative() * q - p * q.derivative()
+    w = _integer_coeffs(p.derivative() * q - p * q.derivative())
     odd_roots, sign = 0, 1
-    while w.degree > 0:
-        chain = sturm_chain(w)
+    while len(w) > 1:
+        chain = _sturm(w)
         vneg, vpos = _variations(chain)
         odd_roots += sign * (vneg - vpos)
         sign = -sign

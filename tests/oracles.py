@@ -9,8 +9,15 @@ independent of Carter's formula in ``chainpoly.coxeter``.  The
 simplicial oracle compares the order with atom-set containment on every
 pair below each element, and the subposet oracle finds covers by testing
 every pair of kept elements.
+
+The remainder-sequence oracles are the certify layer's earlier route over
+``Poly`` with ``Fraction`` contents: a pseudo-remainder that rescales by
+the lead at every nonzero step, a ``Poly`` and a primitive part for every
+chain member, and exact division by long division over Q.  The package
+runs the same mathematics on integer coefficient lists.
 """
 
+from fractions import Fraction
 from itertools import combinations, product
 
 from chainpoly.coxeter import (
@@ -20,8 +27,8 @@ from chainpoly.coxeter import (
     compose,
     inverse,
 )
-from chainpoly.errors import DomainError, ResourceLimitError
-from chainpoly.polynomials import Poly
+from chainpoly.errors import DomainError, NotRealRootedError, ResourceLimitError
+from chainpoly.polynomials import ONE, ZERO, Poly, primitive_part
 from chainpoly.posets import GradedBoundedPoset, Poset
 
 
@@ -168,3 +175,138 @@ def subposet_pairwise(poset: Poset, keep) -> Poset:
             if not any(poset.less(c, b) for c in ups):
                 covers.append((a, b))
     return Poset(keep_list, covers, validate=False)
+
+
+def poly_rem_oracle(a: Poly, b: Poly) -> Poly:
+    """Remainder of integer a by nonzero integer b, times a positive integer
+    so that it stays integral and keeps the signs Sturm chains read."""
+    if b.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    bc = b.coeffs if b.coeffs[-1] > 0 else (-b).coeffs
+    lead = bc[-1]
+    db = len(bc) - 1
+    rem = list(a.coeffs)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if c == 0:
+            continue
+        for k in range(i):
+            rem[k] *= lead
+        rem[i] = 0
+        for j in range(db):
+            rem[i - db + j] -= c * bc[j]
+    return Poly(rem)
+
+
+def exact_div_oracle(a: Poly, b: Poly) -> Poly:
+    """Quotient a / b, raising DomainError unless the division is exact."""
+    if b.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    if a.is_zero:
+        return ZERO
+    rem = list(a.coeffs)
+    bc = b.coeffs
+    db = len(bc) - 1
+    da = len(rem) - 1
+    if da < db:
+        raise DomainError("inexact polynomial division")
+    inv_lead = Fraction(1, 1) / Fraction(bc[-1])
+    quot = [0] * (da - db + 1)
+    for i in range(da, db - 1, -1):
+        if rem[i] == 0:
+            continue
+        factor = rem[i] * inv_lead
+        quot[i - db] = factor
+        rem[i] = 0
+        for j in range(db):
+            rem[i - db + j] -= factor * bc[j]
+    if any(c != 0 for c in rem):
+        raise DomainError("inexact polynomial division")
+    return Poly(quot)
+
+
+def remainder_sequence_oracle(f0: Poly, f1: Poly) -> tuple:
+    """f0, f1, -rem(f0, f1), ... down to gcd(f0, f1), every member primitive
+    (positive rescaling only, so all signs are preserved)."""
+    chain = [primitive_part(f0)]
+    if not f1.is_zero:
+        chain.append(primitive_part(f1))
+        while True:
+            rem = poly_rem_oracle(chain[-2], chain[-1])
+            if rem.is_zero:
+                break
+            chain.append(primitive_part(-rem))
+    return tuple(chain)
+
+
+def poly_gcd_oracle(a: Poly, b: Poly) -> Poly:
+    g = remainder_sequence_oracle(a, b)[-1]
+    if g.is_zero:
+        return ZERO
+    if g.leading_coefficient < 0:
+        g = -g
+    if g.degree == 0:
+        return ONE
+    return g
+
+
+def sturm_chain_oracle(p: Poly) -> tuple:
+    return remainder_sequence_oracle(p, p.derivative())
+
+
+def _variations_oracle(chain: tuple) -> tuple:
+    ends = [(m.leading_coefficient > 0, m.degree % 2 == 1)
+            for m in chain if not m.is_zero]
+    pairs = list(zip(ends, ends[1:]))
+    vneg = sum((a != da) != (b != db) for (a, da), (b, db) in pairs)
+    vpos = sum(a != b for (a, _), (b, _) in pairs)
+    return vneg, vpos
+
+
+def real_rootedness_oracle(p: Poly) -> tuple:
+    """The fields of RealRootedness in order: holds, degree,
+    squarefree_degree, distinct_real_roots and the two variation counts."""
+    chain = sturm_chain_oracle(p)
+    gcd = chain[-1]
+    sf_degree = p.degree - gcd.degree
+    vneg, vpos = _variations_oracle(chain)
+    roots = vneg - vpos
+    if roots != sf_degree and gcd.degree > 0:
+        vneg, vpos = _variations_oracle(sturm_chain_oracle(exact_div_oracle(chain[0], gcd)))
+    return (roots == sf_degree, p.degree, sf_degree, roots, vneg, vpos)
+
+
+def interlaces_oracle(p: Poly, q: Poly) -> bool:
+    if not real_rootedness_oracle(p)[0]:
+        raise NotRealRootedError("first argument is not real-rooted")
+    if not real_rootedness_oracle(q)[0]:
+        raise NotRealRootedError("second argument is not real-rooted")
+    if p.is_zero or q.is_zero:
+        return True
+    s, t = p.degree, q.degree
+    if not s <= t <= s + 1:
+        return False
+    if s == 0:
+        return True
+    g = poly_gcd_oracle(p, q)
+    pg = exact_div_oracle(primitive_part(p), g)
+    qg = exact_div_oracle(primitive_part(q), g)
+    if qg.degree == 0:
+        return True
+    sign = 1 if (p.leading_coefficient > 0) == (q.leading_coefficient > 0) else -1
+    if pg.degree == qg.degree:
+        pg = poly_rem_oracle(pg, qg)
+    vneg, vpos = _variations_oracle(remainder_sequence_oracle(qg, pg))
+    return vneg - vpos == qg.degree * sign
+
+
+def wronskian_semidefinite_oracle(p: Poly, q: Poly) -> bool:
+    w = p.derivative() * q - p * q.derivative()
+    odd_roots, sign = 0, 1
+    while w.degree > 0:
+        chain = sturm_chain_oracle(w)
+        vneg, vpos = _variations_oracle(chain)
+        odd_roots += sign * (vneg - vpos)
+        sign = -sign
+        w = chain[-1]
+    return odd_roots == 0

@@ -22,9 +22,10 @@ from chainpoly import (
     noncrossing_lattice,
     order_h_polynomial,
     signed_word_descent_enumerator,
+    veronese,
     word_descent_enumerator,
 )
-from chainpoly.coxeter import _absolute_length
+from chainpoly.coxeter import _absolute_length, _veronese_product
 from oracles import absolute_lengths_bfs, noncrossing_lattice_pairwise
 
 SMALL_GROUPS = (
@@ -243,6 +244,24 @@ def test_reversed_h_identity():
         assert nc_reversed_h_identity(CoxeterType.parse(name)) is True, name
     assert nc_reversed_h_identity(CoxeterType.parse("H3")) is None
     assert nc_reversed_h_identity(CoxeterType.parse("I2:5")) is None
+
+
+def test_veronese_product_matches_pow_form():
+    # the window sums against the products of geometric series by pow
+    def geometric(r):
+        return Poly([1] * r)
+
+    x = Poly([0, 1])
+    for k in range(1, 21):
+        n = k + 1
+        assert _veronese_product(CoxeterType("A", k)) == veronese(x * geometric(n) ** n, n)
+    for n in range(1, 21):
+        want = veronese(x * geometric(n) ** (n + 1), n)
+        assert _veronese_product(CoxeterType("B", n)) == want
+    for n in range(2, 21):
+        want = veronese((x + x * x) * geometric(n - 1) ** (n + 1), n - 1)
+        assert _veronese_product(CoxeterType("D", n)) == want
+    assert _veronese_product(CoxeterType.parse("E8")) is None
 
 
 def test_symdec_report_fields():

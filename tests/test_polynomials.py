@@ -23,6 +23,7 @@ from chainpoly import (
     unimodal_peaks,
     veronese,
 )
+from oracles import exact_div_oracle
 
 small_polys = st.lists(st.integers(-20, 20), min_size=0, max_size=7).map(Poly)
 
@@ -43,6 +44,17 @@ def test_basic_arithmetic():
     assert (X + ONE) ** 2 == Poly([1, 2, 1])
     assert -p == Poly([-1, -2, -1])
     assert p.scale(3) == Poly([3, 6, 3])
+
+
+@pytest.mark.parametrize("base", [
+    ZERO, ONE, X, Poly([1, 1]), Poly([-2, 0, 1]),
+    Poly([Fraction(2, 3)]), Poly([Fraction(1, 2), -1]),
+])
+def test_pow_matches_repeated_multiplication(base):
+    acc = ONE
+    for e in range(18):
+        assert repr(base ** e) == repr(acc), e
+        acc = acc * base
 
 
 def test_fraction_coefficients_survive():
@@ -124,6 +136,33 @@ def test_exact_div():
         exact_div(Poly([1, 1]), X)
     with pytest.raises(ZeroDivisionError):
         exact_div(p, ZERO)
+
+
+def _division(a, b, divide=exact_div):
+    """repr of a / b, or the exception type and message it raises."""
+    try:
+        return repr(divide(a, b))
+    except (DomainError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+mixed_coeffs = st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=6)
+mixed_polys = st.lists(mixed_coeffs, max_size=5).map(Poly)
+
+
+@given(mixed_polys, mixed_polys, mixed_polys)
+@settings(max_examples=300)
+def test_exact_div_matches_fraction_oracle(b, q, r):
+    # the integer long division against the Fraction loop it replaced
+    assert _division(r, b) == _division(r, b, exact_div_oracle)
+    if b.is_zero:
+        assert _division(q, b)[0] == "ZeroDivisionError"
+        return
+    assert _division(b * q, b) == _division(b * q, b, exact_div_oracle) == repr(q)
+    low = Poly(r.coeffs[: b.degree])
+    if not low.is_zero:
+        inexact = ("DomainError", "inexact polynomial division")
+        assert _division(b * q + low, b) == _division(b * q + low, b, exact_div_oracle) == inexact
 
 
 def test_poly_gcd():

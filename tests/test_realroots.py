@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,9 +19,17 @@ from chainpoly import (
     interlaces,
     is_interlacing_sequence,
     is_real_rooted,
+    poly_gcd,
     real_rootedness,
     sturm_chain,
     wronskian_semidefinite,
+)
+from oracles import (
+    interlaces_oracle,
+    poly_gcd_oracle,
+    real_rootedness_oracle,
+    sturm_chain_oracle,
+    wronskian_semidefinite_oracle,
 )
 
 
@@ -218,6 +227,44 @@ def test_wronskian_reads_multiplicity_parity(multiplicities, j, d, c):
     assert q.derivative() == -w
     expected = all(m % 2 == 0 for m in multiplicities.values())
     assert wronskian_semidefinite(ONE, q) == expected
+
+
+def _factored(multiplicities, quadratics, lead):
+    """lead * prod (x - r)^m * prod (x^2 + d)."""
+    p = Poly([lead])
+    for r, m in multiplicities.items():
+        p = p * Poly([-r, 1]) ** m
+    for d in quadratics:
+        p = p * Poly([d, 0, 1])
+    return p
+
+
+oracle_polys = st.one_of(
+    st.just(ZERO),
+    leads.map(lambda c: Poly([c])),
+    st.builds(_factored, st.dictionaries(half_integers, st.integers(1, 3), max_size=4),
+              st.lists(st.integers(1, 5), max_size=2), leads),
+    st.lists(st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=5), max_size=6).map(Poly),
+)
+
+
+def _outcome(decide, p, q):
+    try:
+        return decide(p, q)
+    except NotRealRootedError as exc:
+        return str(exc)
+
+
+@given(oracle_polys, oracle_polys)
+@settings(max_examples=300, deadline=None)
+def test_certificates_match_poly_route_oracle(p, q):
+    # the integer-list kernel against the Poly/Fraction remainder loop
+    assert repr(sturm_chain(p)) == repr(sturm_chain_oracle(p))
+    assert repr(poly_gcd(p, q)) == repr(poly_gcd_oracle(p, q))
+    assert astuple(real_rootedness(p)) == real_rootedness_oracle(p)
+    assert wronskian_semidefinite(p, q) == wronskian_semidefinite_oracle(p, q)
+    for a, b in ((p, q), (q, p), (p.derivative(), p), (p, p * Poly([1, 1]))):
+        assert _outcome(interlaces, a, b) == _outcome(interlaces_oracle, a, b)
 
 
 def test_descent_enumerators_real_rooted():
