@@ -58,7 +58,7 @@ from .posets import (
     rank_selected_h,
 )
 from .realroots import interlaces, is_real_rooted
-from .symdecomp import has_nonneg_realrooted_symdec, symmetric_decomposition
+from .symdecomp import _nonneg_realrooted, symmetric_decomposition
 
 DEFAULT_MAX_ENUM = 10 ** 7
 
@@ -269,7 +269,7 @@ def cmd_certify(ns, rep: Report) -> int:
         dec = symmetric_decomposition(p, ns.symdec)
         rep.add("symmetric-part", dec.symmetric)
         rep.add("shifted-part", dec.shifted)
-        verdict = has_nonneg_realrooted_symdec(p, ns.symdec)
+        verdict = _nonneg_realrooted(dec)
         rep.add("symdec", verdict)
         holds = holds and verdict
     return 0 if holds else 1

@@ -31,7 +31,7 @@ from .errors import DomainError, ResourceLimitError
 from .polynomials import Poly, f_from_h, unimodal_peaks, veronese
 from .posets import GradedBoundedPoset
 from .realroots import is_real_rooted
-from .symdecomp import has_nonneg_realrooted_symdec, symmetric_decomposition
+from .symdecomp import _nonneg_realrooted, symmetric_decomposition
 
 DEFAULT_GROUP_ORDER_CAP = 50000
 
@@ -256,14 +256,15 @@ def noncrossing_lattice(
 
     Generated upward from the identity: b = a t, for a reflection t,
     covers a inside the interval exactly when l(b) = l(a) + 1 and
-    l(b^-1 gamma) = rank - l(b).  Elements are sorted and covers ordered
-    by rank, then by their lower and upper ends.
+    l(gamma^-1 b) = l(b^-1 gamma) = rank - l(b).  Elements are sorted and
+    covers ordered by rank, then by their lower and upper ends.
     """
     if gamma is None:
         gamma = g.gamma
     lengths = g.lengths
     if lengths.get(gamma) != g.rank:
         raise DomainError("gamma must be an element of absolute length = rank")
+    gi = inverse(gamma)
     level = [g.identity]
     ranks = {g.identity: 0}
     covers = []
@@ -274,7 +275,7 @@ def noncrossing_lattice(
                 b
                 for b in (compose(a, t) for t in g.reflections)
                 if lengths[b] == ell
-                and lengths[compose(inverse(b), gamma)] == g.rank - ell
+                and lengths[compose(gi, b)] == g.rank - ell
             )
             covers.extend((a, b) for b in above)
             uppers.update(above)
@@ -452,7 +453,7 @@ def nc_symdec_report(t: CoxeterType) -> NCReport:
         chain_real_rooted=is_real_rooted(chain),
         symmetric_part=dec.symmetric,
         shifted_part=dec.shifted,
-        symdec_nonneg_realrooted=has_nonneg_realrooted_symdec(h, r - 1),
+        symdec_nonneg_realrooted=_nonneg_realrooted(dec),
         peaks=peaks,
         expected_peak=expected,
         peak_ok=expected in peaks,

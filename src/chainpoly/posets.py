@@ -1,20 +1,21 @@
 """Finite posets, chain polynomials, rank selection and flag vectors.
 
 A ``Poset`` stores an element tuple plus an irredundant list of cover
-relations and lazily derives index maps, strict up-closures (as int
-bitmasks) and a topological order.  ``GradedBoundedPoset`` adds a unique
-minimum, a rank function raising by one along covers, and the guarantee
-that every maximal element sits in the top rank; that is the shape the
+relations, resolved once to index lists, and lazily derives strict
+up-closures (int bitmasks over indices, read everywhere downstream) and
+a topological order.  ``GradedBoundedPoset`` adds a unique minimum, a
+rank function raising by one along covers, and the guarantee that every
+maximal element sits in the top rank; that is the shape the
 rank-selection and flag machinery needs.
 
 The chain polynomial sums x^(size) over all chains (totally ordered
-subsets, empty chain included).  The order h-polynomial is the standard
-binomial transform of its coefficients.  Rank selection keeps the
-elements whose rank lies in a chosen set and rebounds them between a
-virtual bottom and top; flag vectors count maximal chains of those
-selections (alpha, one table indexed by rank-subset bitmask) and their
-inclusion-exclusion transform (beta, one in-place subset Moebius
-transform of that table).
+subsets, empty chain included), adding whole polynomials packed into
+ints.  The order h-polynomial is the standard binomial transform of its
+coefficients.  Rank selection keeps the elements whose rank lies in a
+chosen set and rebounds them between a virtual bottom and top; flag
+vectors count maximal chains of those selections (alpha, one table
+indexed by rank-subset bitmask) and their inclusion-exclusion transform
+(beta, one in-place subset Moebius transform of that table).
 """
 
 from __future__ import annotations
@@ -26,14 +27,6 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import DomainError, GradedStructureError, PosetFileError
 from .polynomials import Poly, h_from_f
-
-
-def _add_into(target: list, addend: list) -> list:
-    if len(target) < len(addend):
-        target.extend([0] * (len(addend) - len(target)))
-    for i, c in enumerate(addend):
-        target[i] += c
-    return target
 
 
 def _bits(mask: int):
@@ -53,23 +46,30 @@ class Poset:
 
     def __init__(self, elements: Iterable, covers: Iterable, validate: bool = True):
         self._elements = tuple(elements)
-        self._index = {}
+        index = self._index = {}
         for i, x in enumerate(self._elements):
-            if x in self._index:
+            if x in index:
                 raise DomainError("duplicate element %r" % (x,))
-            self._index[x] = i
+            index[x] = i
+        n = len(self._elements)
+        succ = [[] for _ in self._elements]
+        pred = [[] for _ in self._elements]
         seen = set()
         cover_list = []
         for x, y in covers:
-            if x not in self._index or y not in self._index:
+            i, j = index.get(x, -1), index.get(y, -1)
+            if i < 0 or j < 0:
                 raise DomainError("cover (%r, %r) uses unknown elements" % (x, y))
             if x == y:
                 raise DomainError("self-cover at %r" % (x,))
-            key = (self._index[x], self._index[y])
-            if key not in seen:
-                seen.add(key)
+            if i * n + j not in seen:
+                seen.add(i * n + j)
+                succ[i].append(j)
+                pred[j].append(i)
                 cover_list.append((x, y))
         self._covers = tuple(cover_list)
+        self._succ = tuple(map(tuple, succ))
+        self._pred = tuple(map(tuple, pred))
         if validate:
             self._topo  # acyclicity
             self._check_irredundant()
@@ -90,20 +90,6 @@ class Poset:
 
     def index(self, x) -> int:
         return self._index[x]
-
-    @cached_property
-    def _succ(self) -> tuple:
-        out = [[] for _ in self._elements]
-        for x, y in self._covers:
-            out[self._index[x]].append(self._index[y])
-        return tuple(tuple(s) for s in out)
-
-    @cached_property
-    def _pred(self) -> tuple:
-        out = [[] for _ in self._elements]
-        for x, y in self._covers:
-            out[self._index[y]].append(self._index[x])
-        return tuple(tuple(s) for s in out)
 
     @cached_property
     def _topo(self) -> tuple:
@@ -270,20 +256,28 @@ def chain_polynomial(poset: Poset) -> Poly:
 
     Computed by one pass in reverse topological order: the generating
     polynomial of chains with fixed minimum e is x * (1 + sum over the
-    strict up-set of e).
+    strict up-set of e).  Each polynomial is packed into one int with a
+    slot of n+1 bits per coefficient (Kronecker substitution x = 2^(n+1)):
+    a coefficient counts chains of one size among n elements, at most
+    C(n, k) <= 2^n and never negative, so no slot carries into the next
+    and one int addition adds whole polynomials.
     """
-    n = len(poset)
+    width = len(poset) + 1
     up = poset._up
-    c = [None] * n
-    total = [1]
+    c = [0] * len(poset)
+    total = 1
     for i in reversed(poset._topo):
-        acc = [1]
+        acc = 1
         for j in _bits(up[i]):
-            _add_into(acc, c[j])
-        ci = [0] + acc
-        c[i] = ci
-        _add_into(total, ci)
-    return Poly(total)
+            acc += c[j]
+        c[i] = acc << width
+        total += c[i]
+    slot = (1 << width) - 1
+    coeffs = []
+    while total:
+        coeffs.append(total & slot)
+        total >>= width
+    return Poly(coeffs)
 
 
 def order_h_polynomial(poset: Poset) -> Poly:
@@ -345,11 +339,13 @@ def rank_selected(poset: GradedBoundedPoset, t: Iterable) -> GradedBoundedPoset:
     else:
         for x in levels[0]:
             covers.append((bot, x))
+        # bits ascend in element order, as the levels do, so each x lists
+        # its covers in the order of the level above
+        up, index, labels = poset._up, poset._index, poset.elements
         for k in range(len(sel) - 1):
+            above = sum(1 << index[y] for y in levels[k + 1])
             for x in levels[k]:
-                for y in levels[k + 1]:
-                    if poset.less(x, y):
-                        covers.append((x, y))
+                covers.extend((x, labels[j]) for j in _bits(up[index[x]] & above))
         for x in levels[-1]:
             covers.append((x, top))
         for k, level in enumerate(levels):
@@ -370,6 +366,8 @@ def _alpha_table(poset: GradedBoundedPoset, ranks: Sequence[int]) -> list:
     ranks = sorted(set(ranks))
     levels = [[poset.index(x) for x in poset.levels[r]] for r in ranks]
     up = poset._up
+    masks = [sum(1 << i for i in level) for level in levels]
+    position = {i: k for level in levels for k, i in enumerate(level)}
     table = [0] * (1 << len(ranks))
     table[0] = 1
     # DFS over subsets ordered by largest member; vec counts chains ending
@@ -380,10 +378,7 @@ def _alpha_table(poset: GradedBoundedPoset, ranks: Sequence[int]) -> list:
         """For each element of level a, the positions above it in level b."""
         got = link_cache.get((a, b))
         if got is None:
-            got = [
-                [k for k, y in enumerate(levels[b]) if (up[x] >> y) & 1]
-                for x in levels[a]
-            ]
+            got = [[position[y] for y in _bits(up[x] & masks[b])] for x in levels[a]]
             link_cache[(a, b)] = got
         return got
 

@@ -2,7 +2,9 @@
 
 A graded bounded poset is simplicial when every lower interval [0-hat, y]
 is a Boolean lattice; the check realizes the isomorphism explicitly
-through atom sets.  For such posets of rank n the h-vector comes from
+through atom sets, read off down-set bitmasks, and its verdict lives as
+long as the poset does.  Face posets find each face's covers by adding
+one vertex at a time.  For such posets of rank n the h-vector comes from
 the level counts, and the flag beta vector factors through descent
 classes of permutations of n+1 letters: beta(S) equals the sum over k of
 h_k times the number of w in S_(n+1) with last letter k+1 whose ascent
@@ -12,14 +14,14 @@ set is exactly S.  Those classes come from the first-letter rows of
 
 from __future__ import annotations
 
-from functools import lru_cache
+import weakref
 from itertools import combinations, product
 from typing import Iterable
 
 from .descents import _first_letter_rows
 from .errors import DomainError, GradedStructureError
 from .polynomials import Poly, h_from_f
-from .posets import GradedBoundedPoset, _moebius
+from .posets import GradedBoundedPoset, _bits, _moebius
 
 
 def boolean_lattice(n: int) -> GradedBoundedPoset:
@@ -92,19 +94,24 @@ def face_poset(facets: Iterable) -> GradedBoundedPoset:
         for size in range(len(members) + 1):
             faces.update(frozenset(c) for c in combinations(members, size))
     elements = sorted(faces, key=lambda s: (len(s), sorted(map(repr, s))))
+    # the faces x + {v} cover x; list them as the element objects, in the
+    # order that iterating set(elements) meets them
+    slot = {y: (k, y) for k, y in enumerate(set(elements))}
+    vertices = frozenset().union(*maximal)
     covers = []
-    face_set = set(elements)
     for x in elements:
-        for y in face_set:
-            if len(y) == len(x) + 1 and x < y:
-                covers.append((x, y))
+        ups = sorted(filter(None, (slot.get(x | {v}) for v in vertices - x)))
+        covers.extend((x, y) for _, y in ups)
     ranks = {x: len(x) for x in elements}
     return GradedBoundedPoset(
         elements, covers, bottom=frozenset(), ranks=ranks, validate=False
     )
 
 
-@lru_cache(maxsize=None)
+# verdicts keyed weakly, so a poset is freed once its last user drops it
+_SIMPLICIAL = weakref.WeakKeyDictionary()
+
+
 def is_simplicial(poset: GradedBoundedPoset) -> bool:
     """Whether every lower interval is Boolean, via atom-set coordinates.
 
@@ -112,29 +119,31 @@ def is_simplicial(poset: GradedBoundedPoset) -> bool:
     r atoms below it, and distinct atom sets on those elements.  Then the
     atom sets below every z fill the subsets of those of z, so x <= z
     exactly when the atom set of x lies in that of z: the order needs no
-    separate check.
+    separate check.  Weak down-sets are bitmasks from one transpose of
+    the up-sets and atom sets are down-sets masked by the atoms: O(sum of
+    |down-set|).  The verdict is remembered as long as the poset lives.
     """
-    n_elem = len(poset)
-    up = poset._up
-    atoms = [poset.index(a) for a in poset.levels[1]] if poset.rank >= 1 else []
-    # atom coordinates: bitmask over atoms lying weakly below each element
-    coord = [0] * n_elem
-    for i in range(n_elem):
-        mask = 0
-        for k, a in enumerate(atoms):
-            if a == i or (up[a] >> i) & 1:
-                mask |= 1 << k
-        coord[i] = mask
-    for y in range(n_elem):
-        r = poset.rank_of(poset.elements[y])
-        below = [x for x in range(n_elem) if (up[x] >> y) & 1]
-        below.append(y)
-        if len(below) != 1 << r:
-            return False
-        if bin(coord[y]).count("1") != r:
-            return False
-        if len({coord[x] for x in below}) != len(below):
-            return False
+    verdict = _SIMPLICIAL.get(poset)
+    if verdict is None:
+        verdict = _SIMPLICIAL[poset] = _boolean_intervals(poset)
+    return verdict
+
+
+def _boolean_intervals(poset: GradedBoundedPoset) -> bool:
+    down = [1 << y for y in range(len(poset))]
+    for x, above in enumerate(poset._up):
+        for y in _bits(above):
+            down[y] |= 1 << x
+    levels = [[poset.index(x) for x in level] for level in poset.levels]
+    atoms = sum(1 << a for a in levels[1]) if len(levels) > 1 else 0
+    for r, level in enumerate(levels):
+        for y in level:
+            if (
+                down[y].bit_count() != 1 << r
+                or (down[y] & atoms).bit_count() != r
+                or len({down[x] & atoms for x in _bits(down[y])}) != 1 << r
+            ):
+                return False
     return True
 
 

@@ -53,7 +53,12 @@ def symmetric_decomposition(p: Poly, n: int) -> SymmetricDecomposition:
 def has_nonneg_realrooted_symdec(p: Poly, n: int) -> bool:
     """Whether both parts of the decomposition are nonnegative and
     real-rooted.  The zero polynomial qualifies trivially."""
-    dec = symmetric_decomposition(p, n)
+    return _nonneg_realrooted(symmetric_decomposition(p, n))
+
+
+def _nonneg_realrooted(dec: SymmetricDecomposition) -> bool:
+    """The verdict of has_nonneg_realrooted_symdec on a decomposition
+    already in hand."""
     return (
         has_nonneg_coeffs(dec.symmetric)
         and has_nonneg_coeffs(dec.shifted)

@@ -8,7 +8,9 @@ filtering the whole group and testing every pair of consecutive ranks,
 independent of Carter's formula in ``chainpoly.coxeter``.  The
 simplicial oracle compares the order with atom-set containment on every
 pair below each element, and the subposet oracle finds covers by testing
-every pair of kept elements.
+every pair of kept elements.  The rank-selection oracle compares every
+pair of consecutive selected levels, and the face-poset oracle tests
+every pair of faces; the package reads both from bitmasks instead.
 
 The remainder-sequence oracles are the certify layer's earlier route over
 ``Poly`` with ``Fraction`` contents: a pseudo-remainder that rescales by
@@ -29,7 +31,7 @@ from chainpoly.coxeter import (
 )
 from chainpoly.errors import DomainError, NotRealRootedError, ResourceLimitError
 from chainpoly.polynomials import ONE, ZERO, Poly, primitive_part
-from chainpoly.posets import GradedBoundedPoset, Poset
+from chainpoly.posets import GradedBoundedPoset, Poset, _fresh_labels
 
 
 def word_descent_enumerator_bruteforce(n: int, r: int, max_enum: int = 10 ** 6) -> Poly:
@@ -175,6 +177,54 @@ def subposet_pairwise(poset: Poset, keep) -> Poset:
             if not any(poset.less(c, b) for c in ups):
                 covers.append((a, b))
     return Poset(keep_list, covers, validate=False)
+
+
+def rank_selected_pairwise(poset: GradedBoundedPoset, t) -> GradedBoundedPoset:
+    """Rank selection with a cover for every pair x < y of consecutive
+    selected levels, found by one order comparison per pair."""
+    sel = sorted(set(t))
+    bot, top = _fresh_labels(poset.elements, ["^0", "^1"])
+    levels = [poset.levels[r] for r in sel]
+    elements = [bot] + [x for level in levels for x in level] + [top]
+    ranks = {bot: 0, top: len(sel) + 1}
+    if not sel:
+        covers = [(bot, top)]
+    else:
+        covers = [(bot, x) for x in levels[0]]
+        for k in range(len(sel) - 1):
+            for x in levels[k]:
+                for y in levels[k + 1]:
+                    if poset.less(x, y):
+                        covers.append((x, y))
+        covers += [(x, top) for x in levels[-1]]
+        for k, level in enumerate(levels):
+            ranks.update(dict.fromkeys(level, k + 1))
+    out = GradedBoundedPoset(elements, covers, bottom=bot, ranks=ranks, validate=False)
+    out.selected_ranks = tuple(sel)
+    return out
+
+
+def face_poset_pairwise(facets) -> GradedBoundedPoset:
+    """Face poset of a pure complex with a cover for every pair of faces
+    x < y of consecutive sizes, scanned over the set of all faces."""
+    facet_sets = [frozenset(f) for f in facets]
+    maximal = [f for f in facet_sets if not any(f < g for g in facet_sets)]
+    faces = set()
+    for f in maximal:
+        for size in range(len(f) + 1):
+            faces.update(frozenset(c) for c in combinations(sorted(f), size))
+    elements = sorted(faces, key=lambda s: (len(s), sorted(map(repr, s))))
+    face_set = set(elements)
+    covers = [
+        (x, y)
+        for x in elements
+        for y in face_set
+        if len(y) == len(x) + 1 and x < y
+    ]
+    ranks = {x: len(x) for x in elements}
+    return GradedBoundedPoset(
+        elements, covers, bottom=frozenset(), ranks=ranks, validate=False
+    )
 
 
 def poly_rem_oracle(a: Poly, b: Poly) -> Poly:

@@ -200,6 +200,23 @@ def test_certify_symdec(capsys):
     assert "symdec=yes" in lines
 
 
+def test_certify_symdec_decomposes_once(capsys, monkeypatch):
+    import chainpoly.symdecomp as symdecomp
+
+    calls = []
+    real = symdecomp.symmetric_decomposition
+
+    def counted(p, n):
+        calls.append(n)
+        return real(p, n)
+
+    monkeypatch.setattr("chainpoly.cli.symmetric_decomposition", counted)
+    monkeypatch.setattr("chainpoly.symdecomp.symmetric_decomposition", counted)
+    code, out, _ = run_cli(capsys, "certify", "1,3,2", "--symdec", "2")
+    assert code == 0 and "symdec=yes" in out.splitlines()
+    assert calls == [2]
+
+
 def test_certify_bad_poly(capsys):
     code, out, _ = run_cli(capsys, "certify", "1,,2")
     assert code == 2

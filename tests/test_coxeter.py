@@ -146,12 +146,16 @@ def test_group_order_cap():
 
 
 def test_lattice_matches_formula_small():
-    for name in ["A2", "A3", "B2", "B3", "D3"]:
+    for name in ["A2", "A3", "A5", "B2", "B3", "D3"]:
         t = CoxeterType.parse(name)
         g = build_reflection_group(t)
         lat = noncrossing_lattice(g)
         assert order_h_polynomial(lat.proper_part()) == nc_h_formula(t), name
         assert chain_polynomial(lat) == nc_chain_polynomial(t), name
+        if t.family == "A":
+            # one-element chains: the Catalan number of NC(n+1) elements
+            n = t.param + 1
+            assert chain_polynomial(lat).coeffs[1] == math.comb(2 * n, n) // (n + 1)
 
 
 def test_lattice_structure():
@@ -280,6 +284,23 @@ def test_symdec_report_fields():
     assert rep.peaks == (1,)
     assert rep.symmetric_part == Poly([1, 6, 1])
     assert rep.shifted_part == Poly([4, 4])
+
+
+def test_symdec_report_decomposes_once(monkeypatch):
+    import chainpoly.symdecomp as symdecomp
+
+    calls = []
+    real = symdecomp.symmetric_decomposition
+
+    def counted(p, n):
+        calls.append(n)
+        return real(p, n)
+
+    monkeypatch.setattr("chainpoly.coxeter.symmetric_decomposition", counted)
+    monkeypatch.setattr("chainpoly.symdecomp.symmetric_decomposition", counted)
+    rep = nc_symdec_report(CoxeterType.parse("B3"))
+    assert rep.symdec_nonneg_realrooted
+    assert calls == [2]
 
 
 def test_report_real_rootedness_everywhere():

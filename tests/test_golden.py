@@ -2,8 +2,11 @@
 
 ``golden/cli.json`` holds the argv, exit code and stdout of the README
 command lines (on the README's example poset and batch file), of
-``nc A5/B4/D5 --oracle --json`` and of a batch of ``nc --oracle`` lines
-that includes the over-cap ``A9``.  Default output must not change, so
+``nc A5/B4/D5 --oracle --json``, of a batch of ``nc --oracle`` lines
+that includes the over-cap ``A9``, and of ``poset --flags --rank-select
+--certify --json`` on a generated face poset (``face.json``) and on the
+colored subset poset of 3 points and 2 colors with a top adjoined
+(``colored.json``).  Default output must not change, so
 any difference is a regression.
 """
 

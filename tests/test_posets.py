@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from itertools import combinations
 
@@ -91,6 +92,18 @@ def test_chain_polynomial_matches_bruteforce():
         for _ in range(6):
             p = random_poset(rng, size)
             assert chain_polynomial(p) == brute_chain_polynomial(p)
+
+
+def test_chain_polynomial_slot_width():
+    # the packed coefficients use n+1 bits each; a chain of n elements has
+    # C(n, k) chains of size k, together 2^n, right under the slot bound
+    for n in (1, 2, 31, 63, 64, 100):
+        chain = Poset(range(n), [(i, i + 1) for i in range(n - 1)])
+        f = chain_polynomial(chain)
+        assert f.coeffs == tuple(math.comb(n, k) for k in range(n + 1))
+        assert sum(f.coeffs) == 2 ** n
+    for n in (1, 5, 64):
+        assert chain_polynomial(Poset(range(n), [])) == Poly([1, n])
 
 
 def test_order_h_polynomial():

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from itertools import combinations
 
 import pytest
@@ -19,7 +21,12 @@ from chainpoly import (
     simplicial_h,
     stanley_flag_beta,
 )
-from oracles import is_simplicial_pairwise, subposet_pairwise
+from oracles import (
+    face_poset_pairwise,
+    is_simplicial_pairwise,
+    rank_selected_pairwise,
+    subposet_pairwise,
+)
 
 
 def random_complex(rng, nverts, dim):
@@ -108,6 +115,50 @@ def test_subposet_matches_pairwise_oracle():
         for keep in (p.elements, [x for x in p.elements if rng.random() < 0.6]):
             sub, oracle = p.subposet(keep), subposet_pairwise(p, keep)
             assert (sub.elements, sub.covers) == (oracle.elements, oracle.covers)
+
+
+def _shape(p):
+    return p.elements, p.covers, [p.rank_of(x) for x in p.elements]
+
+
+def test_face_poset_matches_pairwise_oracle():
+    rng = random.Random(13)
+    dims = [rng.randint(0, 3) for _ in range(150)]
+    complexes = [random_complex(rng, rng.randint(d + 2, 7), d) for d in dims]
+    complexes += [[("a", "b", "c"), ("b", "c", "d"), ("c", "d", "e"), ("x", "a", "d")]]
+    for facets in complexes:
+        p = face_poset(facets)
+        assert _shape(p) == _shape(face_poset_pairwise(facets))
+        # covers hold the element objects themselves, not equal copies
+        assert all(p.elements[p.index(y)] is y for _, y in p.covers)
+
+
+def test_rank_selected_matches_pairwise_oracle():
+    rng = random.Random(17)
+    posets = [random_graded_poset(rng, rng.randint(1, 5)) for _ in range(200)]
+    posets += [face_poset(random_complex(rng, 6, rng.randint(1, 3))) for _ in range(40)]
+    posets += [boolean_lattice(n) for n in range(1, 6)]
+    posets += [colored_subset_poset(n, r) for n, r in [(2, 2), (3, 2), (2, 3), (3, 3)]]
+    for p in posets:
+        for q in (p, adjoin_max(p)):
+            ranks = range(1, q.rank)
+            choices = [(), tuple(ranks)] + [
+                [r for r in ranks if rng.random() < 0.5] for _ in range(3)
+            ]
+            for t in choices:
+                sel, oracle = rank_selected(q, t), rank_selected_pairwise(q, t)
+                assert _shape(sel) == _shape(oracle)
+                assert sel.selected_ranks == oracle.selected_ranks
+
+
+def test_is_simplicial_memo_frees_the_poset():
+    p = colored_subset_poset(2, 2)
+    assert is_simplicial(p)
+    assert is_simplicial(p)
+    ref = weakref.ref(p)
+    del p
+    gc.collect()
+    assert ref() is None
 
 
 def test_simplicial_h_values():
