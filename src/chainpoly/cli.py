@@ -18,7 +18,6 @@ import argparse
 import contextlib
 import io
 import json
-import math
 import sys
 import time
 from fractions import Fraction
@@ -33,7 +32,6 @@ from .descents import (
     colored_descent_enumerator,
     colored_descent_enumerator_bruteforce,
     descent_enumerator,
-    descent_enumerator_bruteforce,
     determinant_descent_enumerator,
     expected_descents,
     signed_word_descent_enumerator,
@@ -71,7 +69,7 @@ def parse_descent_set(text: str) -> frozenset:
     out = set()
     for part in s.split(","):
         part = part.strip()
-        if not part.isdigit() or int(part) < 1:
+        if not part.isdecimal() or int(part) < 1:
             raise DomainError("bad position %r in descent set" % part)
         out.add(int(part))
     return frozenset(out)
@@ -146,21 +144,14 @@ def _certification_lines(rep: Report, p: Poly) -> bool:
 
 def cmd_ant(ns, rep: Report) -> int:
     t = parse_descent_set(ns.t)
-    if ns.colored is not None:
-        if ns.colored < 1:
-            raise DomainError("color count must be >= 1")
-        if ns.brute:
-            p = colored_descent_enumerator_bruteforce(
-                ns.n, ns.colored, t, max_enum=ns.max_enum
-            )
-        else:
-            p = colored_descent_enumerator(ns.n, ns.colored, t)
-    elif ns.brute:
-        if math.factorial(ns.n) > ns.max_enum:
-            raise ResourceLimitError(
-                "%d! exceeds the enumeration cap %d" % (ns.n, ns.max_enum)
-            )
-        p = descent_enumerator_bruteforce(ns.n, t, max_letters=ns.n)
+    if ns.colored is not None and ns.colored < 1:
+        raise DomainError("color count must be >= 1")
+    if ns.brute:
+        p = colored_descent_enumerator_bruteforce(
+            ns.n, ns.colored or 1, t, max_enum=ns.max_enum
+        )
+    elif ns.colored is not None:
+        p = colored_descent_enumerator(ns.n, ns.colored, t)
     else:
         p = descent_enumerator(ns.n, t)
     rep.add("coefficients", p)
@@ -333,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-enum",
         type=int,
         default=DEFAULT_MAX_ENUM,
-        help="enumeration cap for brute and colored paths (default %(default)s)",
+        help="cap on n! * r^n for --brute, r = 1 without --colored "
+        "(default %(default)s)",
     )
     common(p)
 

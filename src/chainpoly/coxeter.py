@@ -23,7 +23,7 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations, permutations, product
+from itertools import accumulate, permutations, product
 from typing import Optional, Tuple
 
 from .descents import signed_word_descent_enumerator, word_descent_enumerator
@@ -322,49 +322,6 @@ def nc_chain_polynomial(t: CoxeterType) -> Poly:
     h = nc_h_formula(t)
     proper = f_from_h(h, t.rank - 1)
     return Poly([1, 2, 1]) * proper
-
-
-def _compositions(total: int, parts: int):
-    """Compositions of ``total`` into ``parts`` positive parts."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if total < parts:
-        return
-    for cuts in combinations(range(1, total), parts - 1):
-        prev = 0
-        out = []
-        for c in cuts:
-            out.append(c - prev)
-            prev = c
-        out.append(total - prev)
-        yield tuple(out)
-
-
-def flag_f_nc_d(n: int, k: int) -> int:
-    """Number of chains with k elements in the proper part of the type-D
-    noncrossing lattice of rank n, by the composition formula.
-
-    Two sums over compositions into k+1 positive parts, of n and of n-1,
-    with all parts scored by binomials over n-1.
-    """
-    if not isinstance(n, int) or n < 3:
-        raise DomainError("type D flag counts need n >= 3")
-    if not isinstance(k, int) or not 0 <= k <= n - 1:
-        raise DomainError("chain size k must lie in 0..n-1")
-    total = 0
-    for comp in _compositions(n, k + 1):
-        prod = 1
-        for a in comp:
-            prod *= math.comb(n - 1, a) if a <= n - 1 else 0
-        total += 2 * prod
-    for comp in _compositions(n - 1, k + 1):
-        prod = 1
-        for a in comp:
-            prod *= math.comb(n - 1, a) if a <= n - 1 else 0
-        total += prod
-    return total
 
 
 def _window_sums(cs: list, r: int, times: int) -> list:

@@ -2,34 +2,34 @@
 
 The central object is the restricted descent polynomial: the sum of
 x^des(w) over permutations w of n letters whose descent set lies inside
-a prescribed set of positions.  It is available twice over: a brute
-force enumerator over the symmetric group, and a fast recurrence through
-the first-letter refinement p_(n,k) (permutations of n+1 letters with
-first letter k+1).  The same pattern repeats for colored permutations,
-for words over a bounded alphabet and for the signed-word family used by
-the type-D noncrossing lattice, so every fast path has an independent
-enumeration to test against (the word and signed-word ones are used
-only by the tests and live in ``tests/oracles.py``).  All four fast
-recurrences are one transfer step, ``_transfer``, on plain integer
-coefficient lists; ``Poly`` objects appear only in what the public
-functions return.  A determinant formula
-(an O(r^2) Hessenberg recurrence in integers), exact mean and variance
-of the descent statistic, and the mode bound around them round out the
-module.  All arithmetic is exact.
+a prescribed set of positions.  It is available twice over: a fast
+recurrence through the first-letter refinement p_(n,k) (permutations of
+n+1 letters with first letter k+1), and one brute-force count over
+r-colored permutations, which serves the colored enumerator and, at
+r = 1, the plain one.  Words over a bounded alphabet and the signed-word
+family used by the type-D noncrossing lattice have fast recurrences too;
+their enumerations are used only by the tests and live in
+``tests/oracles.py``, so every fast path has an independent count to
+test against.  All four fast recurrences are one transfer step,
+``_transfer``, on plain integer coefficient lists; ``Poly`` objects
+appear only in what the public functions return.  A determinant formula
+(an O(r^2) Hessenberg recurrence in integers) and the exact mean and
+variance of the descent statistic round out the module.  All arithmetic
+is exact.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Iterable, Tuple
+from typing import Iterable
 
 from .errors import DomainError, ResourceLimitError
 from .polynomials import ONE, Poly
 
-DEFAULT_PERMUTATION_CAP = 9
 DEFAULT_COLORED_CAP = 10 ** 7
 
 
@@ -42,48 +42,6 @@ def _position_set(allowed: Iterable, n: int) -> frozenset:
         if a <= n:
             out.add(a)
     return frozenset(out)
-
-
-def descent_set(w: Tuple[int, ...]) -> frozenset:
-    """Positions i with w(i) > w(i+1), one-indexed."""
-    return frozenset(i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1])
-
-
-@lru_cache(maxsize=None)
-def _descent_distribution(n: int) -> dict:
-    """Map descent-set bitmask -> count over all of S_n."""
-    counts = {}
-    for w in permutations(range(1, n + 1)):
-        mask = 0
-        for i in range(n - 1):
-            if w[i] > w[i + 1]:
-                mask |= 1 << i
-        counts[mask] = counts.get(mask, 0) + 1
-    return counts
-
-
-def descent_enumerator_bruteforce(
-    n: int, allowed: Iterable, max_letters: int = DEFAULT_PERMUTATION_CAP
-) -> Poly:
-    """Sum of x^des(w) over w in S_n with descents inside ``allowed``.
-
-    Enumerates the full symmetric group, so n is capped (default 9).
-    """
-    if not isinstance(n, int) or n < 0:
-        raise DomainError("n must be a nonnegative integer")
-    if n > max_letters:
-        raise ResourceLimitError(
-            "n=%d exceeds the enumeration cap %d" % (n, max_letters)
-        )
-    t = _position_set(allowed, n - 1)
-    tmask = 0
-    for a in t:
-        tmask |= 1 << (a - 1)
-    coeffs = [0] * max(len(t) + 1, 1)
-    for mask, count in _descent_distribution(n).items():
-        if mask & ~tmask == 0:
-            coeffs[bin(mask).count("1")] += count
-    return Poly(coeffs)
 
 
 # Weights of the transfer step, as the power of x they stand for; None is 0.
@@ -148,17 +106,11 @@ def first_letter_descent_polynomials(n: int, allowed: frozenset) -> tuple:
     return tuple(Poly(p) for p in _first_letter_rows(n, frozenset(allowed)))
 
 
-def first_letter_descent_polynomial(n: int, allowed: Iterable, k: int) -> Poly:
-    if not isinstance(k, int) or not 0 <= k <= n:
-        raise DomainError("first letter index k must lie in 0..n")
-    return first_letter_descent_polynomials(n, frozenset(allowed))[k]
-
-
 def descent_enumerator(n: int, allowed: Iterable) -> Poly:
     """Fast restricted descent polynomial via the first-letter rows.
 
-    Agrees with descent_enumerator_bruteforce wherever the latter can
-    run, but has no factorial blowup.
+    Agrees with colored_descent_enumerator_bruteforce at one color
+    wherever the latter can run, but has no factorial blowup.
     """
     if not isinstance(n, int) or n < 0:
         raise DomainError("n must be a nonnegative integer")
@@ -166,37 +118,6 @@ def descent_enumerator(n: int, allowed: Iterable) -> Poly:
         return ONE
     row = _first_letter_rows(n - 1, frozenset(allowed))
     return Poly([sum(col) for col in zip(*row)])
-
-
-def colored_descent_positions(w: Tuple[int, ...], colors: Tuple[int, ...]) -> frozenset:
-    """Descents of a colored permutation, sentinel fixed point appended.
-
-    Position i in 1..n descends when the color drops, or the colors tie
-    and the letters drop; the sentinel has letter n+1 and color 0.
-    """
-    n = len(w)
-    out = set()
-    for i in range(n):
-        cw, cc = w[i], colors[i]
-        nw, nc = (w[i + 1], colors[i + 1]) if i + 1 < n else (n + 1, 0)
-        if cc > nc or (cc == nc and cw > nw):
-            out.add(i + 1)
-    return frozenset(out)
-
-
-@lru_cache(maxsize=None)
-def _colored_descent_distribution(n: int, r: int) -> dict:
-    counts = {}
-    for w in permutations(range(1, n + 1)):
-        wd = list(w) + [n + 1]
-        for colors in product(range(r), repeat=n):
-            cd = list(colors) + [0]
-            mask = 0
-            for i in range(n):
-                if cd[i] > cd[i + 1] or (cd[i] == cd[i + 1] and wd[i] > wd[i + 1]):
-                    mask |= 1 << i
-            counts[mask] = counts.get(mask, 0) + 1
-    return counts
 
 
 def colored_descent_enumerator(n: int, r: int, allowed: Iterable) -> Poly:
@@ -218,10 +139,51 @@ def colored_descent_enumerator(n: int, r: int, allowed: Iterable) -> Poly:
     return Poly([sum(w * c for w, c in zip(weights, col)) for col in zip(*row)])
 
 
+def _letter_descent_masks(n: int):
+    """The descent mask of every permutation of n letters, in turn."""
+    for w in permutations(range(n)):
+        mask = 0
+        for i in range(n - 1):
+            if w[i] > w[i + 1]:
+                mask |= 1 << i
+        yield mask
+
+
+@lru_cache(maxsize=None)
+def _colored_descent_distribution(n: int, r: int) -> Counter:
+    """Map descent-set bitmask (position i+1 as bit i) -> count over all
+    r-colored permutations of n letters.
+
+    Position i descends when the color drops, or the colors tie and the
+    letters drop; a sentinel of letter n+1 and color 0 follows the last
+    letter, and the letters never drop onto it.  So a permutation enters
+    only through its letter-descent mask w, a coloring only through its
+    masks (drop, tie), and the pair descends at drop | (tie & w).
+    """
+    letters = Counter(_letter_descent_masks(n))
+    colorings = Counter()
+    for c in product(range(r), repeat=n):
+        c += (0,)
+        drop = tie = 0
+        for i in range(n):
+            if c[i] > c[i + 1]:
+                drop |= 1 << i
+            elif c[i] == c[i + 1]:
+                tie |= 1 << i
+        colorings[drop, tie] += 1
+    counts = Counter()
+    for (drop, tie), a in colorings.items():
+        for w, b in letters.items():
+            counts[drop | (tie & w)] += a * b
+    return counts
+
+
 def colored_descent_enumerator_bruteforce(
     n: int, r: int, allowed: Iterable, max_enum: int = DEFAULT_COLORED_CAP
 ) -> Poly:
-    """The same enumerator by listing all n! * r^n colored permutations."""
+    """The same enumerator by counting all n! * r^n colored permutations,
+    capped by ``max_enum``.  At r = 1 it is the plain restricted descent
+    enumerator: the last position never descends."""
     if not isinstance(n, int) or n < 0 or not isinstance(r, int) or r < 1:
         raise DomainError("need n >= 0 and r >= 1")
     if math.factorial(n) * r ** n > max_enum:
@@ -361,15 +323,3 @@ def descent_mean_variance(n: int, allowed: Iterable) -> tuple:
     mean = Fraction(sum(i * c for i, c in enumerate(p.coeffs)), total)
     second = Fraction(sum(i * i * c for i, c in enumerate(p.coeffs)), total)
     return mean, second - mean * mean
-
-
-def ratio_monotone(p: Poly) -> bool:
-    """Whether c_i / c_(r-i) is weakly increasing in i (cross-multiplied,
-    so zero coefficients need no special casing)."""
-    cs = p.coeffs
-    if any(c < 0 for c in cs):
-        raise DomainError("ratio monotonicity needs nonnegative coefficients")
-    r = len(cs) - 1
-    return all(
-        cs[i] * cs[r - i - 1] <= cs[i + 1] * cs[r - i] for i in range(r)
-    )

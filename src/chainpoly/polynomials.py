@@ -8,18 +8,17 @@ No floating point enters any computation here.
 
 Besides ring arithmetic the module provides the coefficient-level
 operations used by the combinatorial layers: reversal x^n p(1/x), the
-r-th Veronese section (every r-th coefficient), monomial substitution
-p(x^k), gcd and exact division over Q, and the shape predicates
-(symmetry, unimodality, log-concavity, mode) that the certification
-reports quote.
+r-th Veronese section (every r-th coefficient), the f/h transforms, and
+the shape predicates (symmetry, unimodality, log-concavity, mode) that
+the certification reports quote.
 
-The remainder sequence behind gcd and every certificate in realroots
-runs on plain integer coefficient lists.  Its inputs are cleared of
-denominators and made primitive once; each member after them is one
-pseudo-remainder, scaled by the absolute lead of the divisor so every
-sign survives, then divided by the gcd of its entries.  No Poly and no
-Fraction is built per member.  Exact division splits off the contents
-and long-divides the primitive parts over Z (Gauss's lemma).
+The remainder sequence behind every certificate in realroots runs on
+plain integer coefficient lists.  Its inputs are cleared of denominators
+and made primitive once; each member after them is one pseudo-remainder,
+scaled by the absolute lead of the divisor so every sign survives, then
+divided by the gcd of its entries.  No Poly and no Fraction is built per
+member.  Exact quotients by a member are integer long divisions, which
+Gauss's lemma makes exact over Z whenever they are over Q.
 """
 
 from __future__ import annotations
@@ -74,10 +73,6 @@ class Poly:
     @property
     def is_zero(self) -> bool:
         return not self._coeffs
-
-    @property
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self._coeffs)
 
     @property
     def leading_coefficient(self) -> Scalar:
@@ -168,17 +163,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self._coeffs)][1:])
 
-    def inflate(self, k: int) -> "Poly":
-        """Substitute x^k for x."""
-        if not isinstance(k, int) or k < 1:
-            raise DomainError("monomial exponent must be a positive integer")
-        if not self._coeffs:
-            return Poly()
-        out = [0] * ((len(self._coeffs) - 1) * k + 1)
-        for i, c in enumerate(self._coeffs):
-            out[i * k] = c
-        return Poly(out)
-
     def reverse(self, n: int) -> "Poly":
         """x^n * p(1/x) for n >= deg(p); reverses the coefficient list."""
         if n < self.degree:
@@ -229,33 +213,11 @@ def veronese(p: Poly, r: int) -> Poly:
     return Poly(p.coeffs[::r])
 
 
-def _cleared(p: Poly) -> tuple:
-    """(d, the coefficients of d * p) with d the lcm of the denominators
-    of p: the one place where a coefficient list leaves Q for Z."""
-    denom = math.lcm(*(c.denominator for c in p.coeffs))
-    return denom, [int(c * denom) for c in p.coeffs] if denom > 1 else list(p.coeffs)
-
-
-def content_and_primitive(p: Poly) -> tuple:
-    """Split p = content * primitive with positive rational content.
-
-    The primitive part has coprime integer coefficients and the sign of p.
-    The zero polynomial returns (Fraction(0), ZERO).
-    """
-    if p.is_zero:
-        return Fraction(0), ZERO
-    denom, ints = _cleared(p)
-    g = math.gcd(*ints)
-    return Fraction(g, denom), Poly([c // g for c in ints])
-
-
-def primitive_part(p: Poly) -> Poly:
-    return content_and_primitive(p)[1]
-
-
 def _integer_coeffs(p: Poly) -> list:
-    """A positive integer multiple of p as a coefficient list."""
-    return _cleared(p)[1]
+    """d * p as a coefficient list, with d the lcm of the denominators of
+    p: the one place where a coefficient list leaves Q for Z."""
+    denom = math.lcm(*(c.denominator for c in p.coeffs))
+    return [int(c * denom) for c in p.coeffs] if denom > 1 else list(p.coeffs)
 
 
 def _primitive(cs: list) -> list:
@@ -301,25 +263,6 @@ def _exact_quotient(a: list, b: list) -> list:
     return quot
 
 
-def exact_div(a: Poly, b: Poly) -> Poly:
-    """Quotient a / b, raising DomainError unless the division is exact.
-
-    With a = ca * pa and b = cb * pb split into contents and primitive
-    parts, pb divides pa over Q exactly when it does so over Z (Gauss's
-    lemma), so one integer long division decides it and a / b is
-    (ca / cb) * (pa / pb).
-    """
-    if b.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    if a.is_zero:
-        return ZERO
-    ca, pa = content_and_primitive(a)
-    cb, pb = content_and_primitive(b)
-    quot = _exact_quotient(pa.coeffs, pb.coeffs)
-    ratio = ca / cb
-    return Poly(quot if ratio == 1 else [c * ratio for c in quot])
-
-
 def _remainder_sequence(f0: list, f1: list) -> list:
     """f0, f1, -rem(f0, f1), ... down to gcd(f0, f1) for integer
     coefficient lists, every member a primitive integer list (positive
@@ -334,20 +277,6 @@ def _remainder_sequence(f0: list, f1: list) -> list:
             g = math.gcd(*rem)
             chain.append([c // -g for c in rem])
     return chain
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic-free gcd: primitive integer representative with positive lead.
-
-    It is the last member of the remainder sequence of a and b.  Constant
-    nonzero gcds normalize to 1, so coprime inputs return ONE.
-    """
-    g = _remainder_sequence(_integer_coeffs(a), _integer_coeffs(b))[-1]
-    if not g:
-        return ZERO
-    if len(g) == 1:
-        return ONE
-    return Poly(g if g[-1] > 0 else [-c for c in g])
 
 
 def _binomial_transform(p: Poly, n: int, sign: int) -> Poly:

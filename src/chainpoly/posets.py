@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence
 
 from .errors import DomainError, GradedStructureError, PosetFileError
 from .polynomials import Poly, h_from_f
@@ -490,8 +490,12 @@ def load_poset(path: str):
         raise PosetFileError("file is not valid UTF-8") from None
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise PosetFileError(exc.msg, line=exc.lineno) from None
+    except ValueError as exc:
+        # a JSONDecodeError carries a line; an integer past Python's digit
+        # limit raises a plain ValueError, which does not
+        raise PosetFileError(
+            getattr(exc, "msg", str(exc)), line=getattr(exc, "lineno", None)
+        ) from None
     except RecursionError:
         raise PosetFileError("JSON nested too deeply") from None
     if not isinstance(data, dict):

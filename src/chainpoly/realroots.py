@@ -10,7 +10,7 @@ No polynomial is evaluated at a finite point: the sign of a member at
 +-inf is the sign of its lead, flipped at -inf when its degree is odd.
 Inside the kernel every chain member is a plain ascending list of
 integers, so V reads the lead as m[-1] and the degree parity from
-len(m); only sturm_chain wraps the members in Poly, at its return.
+len(m).
 
 Interlacing p <= q (every root of q weakly separated by a root of p,
 largest root of q outermost) locates no root.  Common roots never break
@@ -19,14 +19,6 @@ Cauchy index of (p/g)/(q/g) is deg(q/g) sign(lc(p) lc(q)).  Conventions:
 the zero polynomial interlaces and is interlaced by every real-rooted
 polynomial, and nonzero constants interlace every real-rooted polynomial
 of degree at most one.
-
-The Wronskian w = p'q - pq' changes sign exactly at its real roots of odd
-multiplicity.  With w_0 = w and w_(k+1) = gcd(w_k, w_k'), the last member
-of the Sturm chain of w_k, a real root of multiplicity m is a distinct
-real root of w_0, ..., w_(m-1) and of no later w_k, so it adds
-1 - 1 + 1 - ... (m terms), that is m mod 2, to the alternating sum of
-the distinct real root counts of the w_k.  That sum is zero exactly
-when w is semidefinite.
 """
 
 from __future__ import annotations
@@ -48,12 +40,6 @@ from .polynomials import (
 def _sturm(f: list) -> list:
     """The remainder sequence of the integer list f and its derivative."""
     return _remainder_sequence(f, [i * c for i, c in enumerate(f)][1:])
-
-
-def sturm_chain(p: Poly) -> tuple:
-    """Sturm chain p, p', ..., gcd(p, p'), every member primitive; it
-    counts distinct real roots even when p is not squarefree."""
-    return tuple(Poly(m) for m in _sturm(_integer_coeffs(p)))
 
 
 def _variations(chain: list) -> tuple:
@@ -83,10 +69,11 @@ class RealRootedness:
 def real_rootedness(p: Poly) -> RealRootedness:
     """Decide real-rootedness exactly and return the Sturm certificate.
 
-    The decision is read off sturm_chain(p).  The zero polynomial and
-    nonzero constants count as real-rooted.  The variation counts are those
-    of the chain of sf = p / gcd(p, p'), which equal the ones on the chain
-    of p unless p is neither squarefree nor real-rooted.
+    The decision is read off the Sturm chain p, p', ..., gcd(p, p').  The
+    zero polynomial and nonzero constants count as real-rooted.  The
+    variation counts are those of the chain of sf = p / gcd(p, p'), which
+    equal the ones on the chain of p unless p is neither squarefree nor
+    real-rooted.
     """
     chain = _sturm(_integer_coeffs(p))
     gcd = chain[-1]
@@ -100,10 +87,6 @@ def real_rootedness(p: Poly) -> RealRootedness:
 
 def is_real_rooted(p: Poly) -> bool:
     return real_rootedness(p).holds
-
-
-def count_distinct_real_roots(p: Poly) -> int:
-    return real_rootedness(p).distinct_real_roots
 
 
 @lru_cache(maxsize=None)
@@ -153,19 +136,3 @@ def is_interlacing_sequence(ps: Sequence[Poly]) -> bool:
                 return False
     return True
 
-
-def wronskian_semidefinite(p: Poly, q: Poly) -> bool:
-    """Whether p'q - pq' never changes sign on the real line.
-
-    Decided by the alternating sum of distinct real root counts along
-    w, gcd(w, w'), ..., see the module docstring.
-    """
-    w = _integer_coeffs(p.derivative() * q - p * q.derivative())
-    odd_roots, sign = 0, 1
-    while len(w) > 1:
-        chain = _sturm(w)
-        vneg, vpos = _variations(chain)
-        odd_roots += sign * (vneg - vpos)
-        sign = -sign
-        w = chain[-1]
-    return odd_roots == 0

@@ -12,13 +12,26 @@ every pair of kept elements.  The rank-selection oracle compares every
 pair of consecutive selected levels, and the face-poset oracle tests
 every pair of faces; the package reads both from bitmasks instead.
 
+The type-D chain counts come from a composition formula, independent of
+both the lattice and the h-polynomial formula route.
+
 The remainder-sequence oracles are the certify layer's earlier route over
 ``Poly`` with ``Fraction`` contents: a pseudo-remainder that rescales by
 the lead at every nonzero step, a ``Poly`` and a primitive part for every
 chain member, and exact division by long division over Q.  The package
 runs the same mathematics on integer coefficient lists.
+
+The Wronskian oracle decides interlacing in one direction or the other
+without ``interlaces``.  The Wronskian w = p'q - pq' changes sign exactly
+at its real roots of odd multiplicity.  With w_0 = w and
+w_(k+1) = gcd(w_k, w_k'), the last member of the Sturm chain of w_k, a
+real root of multiplicity m is a distinct real root of w_0, ..., w_(m-1)
+and of no later w_k, so it adds 1 - 1 + 1 - ... (m terms), that is
+m mod 2, to the alternating sum of the distinct real root counts of the
+w_k.  That sum is zero exactly when w is semidefinite.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -30,7 +43,7 @@ from chainpoly.coxeter import (
     inverse,
 )
 from chainpoly.errors import DomainError, NotRealRootedError, ResourceLimitError
-from chainpoly.polynomials import ONE, ZERO, Poly, primitive_part
+from chainpoly.polynomials import ONE, ZERO, Poly
 from chainpoly.posets import GradedBoundedPoset, Poset, _fresh_labels
 
 
@@ -225,6 +238,38 @@ def face_poset_pairwise(facets) -> GradedBoundedPoset:
     return GradedBoundedPoset(
         elements, covers, bottom=frozenset(), ranks=ranks, validate=False
     )
+
+
+def _compositions(total: int, parts: int):
+    """Compositions of ``total`` into ``parts`` positive parts."""
+    for cuts in combinations(range(1, total), parts - 1):
+        bounds = (0,) + cuts + (total,)
+        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+def flag_f_nc_d(n: int, k: int) -> int:
+    """Number of chains with k elements in the proper part of the type-D
+    noncrossing lattice of rank n, by the composition formula.
+
+    Two sums over compositions into k+1 positive parts, of n and of n-1,
+    with all parts scored by binomials over n-1.
+    """
+    total = 0
+    for weight, size in ((2, n), (1, n - 1)):
+        for comp in _compositions(size, k + 1):
+            total += weight * math.prod(math.comb(n - 1, a) for a in comp)
+    return total
+
+
+def primitive_part(p: Poly) -> Poly:
+    """p with denominators cleared and divided by the gcd of its integer
+    coefficients; the sign of p is kept."""
+    if p.is_zero:
+        return ZERO
+    denom = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [int(c * denom) for c in p.coeffs]
+    g = math.gcd(*ints)
+    return Poly([c // g for c in ints])
 
 
 def poly_rem_oracle(a: Poly, b: Poly) -> Poly:

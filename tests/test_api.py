@@ -29,19 +29,13 @@ PUBLIC_NAMES = [
     "colored_descent_enumerator",
     "colored_descent_enumerator_bruteforce",
     "colored_subset_poset",
-    "count_distinct_real_roots",
     "descent_enumerator",
-    "descent_enumerator_bruteforce",
     "descent_mean_variance",
-    "descent_set",
     "determinant_descent_enumerator",
-    "exact_div",
     "expected_descents",
     "f_from_h",
     "face_poset",
-    "first_letter_descent_polynomial",
     "first_letter_descent_polynomials",
-    "flag_f_nc_d",
     "flag_vectors",
     "format_poly",
     "h_from_f",
@@ -62,22 +56,18 @@ PUBLIC_NAMES = [
     "noncrossing_lattice",
     "order_h_polynomial",
     "parse_poly",
-    "poly_gcd",
     "rank_selected",
     "rank_selected_h",
-    "ratio_monotone",
     "real_rootedness",
     "signed_word_columns",
     "signed_word_descent_enumerator",
     "simplicial_h",
     "stanley_flag_beta",
-    "sturm_chain",
     "symmetric_decomposition",
     "unimodal_peaks",
     "veronese",
     "word_ascent_enumerator",
     "word_descent_enumerator",
-    "wronskian_semidefinite",
 ]
 
 

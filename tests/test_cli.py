@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainpoly.cli import main
+
+SQUARE = str(Path(__file__).parent / "golden" / "square.json")
 
 
 def run_cli(capsys, *argv):
@@ -14,13 +21,15 @@ def run_cli(capsys, *argv):
 
 
 def test_ant_basic(capsys):
-    code, out, _ = run_cli(capsys, "ant", "3", "1,2")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "1,4,1"
-    assert "real-rooted=yes" in lines
-    assert "mode=1" in lines
-    assert "mu=1" in lines
+    # "١,٢" is 1,2 in Arabic-Indic digits
+    for t in ("1,2", "١,٢"):
+        code, out, _ = run_cli(capsys, "ant", "3", t)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "1,4,1"
+        assert "real-rooted=yes" in lines
+        assert "mode=1" in lines
+        assert "mu=1" in lines
 
 
 def test_ant_empty_set(capsys):
@@ -63,15 +72,25 @@ def test_ant_colored_brute_agrees(capsys):
 
 
 def test_ant_domain_error(capsys):
-    code, out, _ = run_cli(capsys, "ant", "3", "0,2")
-    assert code == 2
-    assert "error=" in out
+    # "²" is a digit to str.isdigit() that int() rejects
+    for argv in (
+        ["ant", "3", "0,2"],
+        ["ant", "3", "²"],
+        ["poset", SQUARE, "--rank-select", "²"],
+        ["ant", "-1", "-", "--brute"],
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out.splitlines()[-1].startswith("error="), argv
 
 
 def test_ant_brute_cap(capsys):
     code, out, _ = run_cli(capsys, "ant", "12", "1", "--brute", "--max-enum", "1000")
     assert code == 3
     assert "error=" in out
+    code, out, _ = run_cli(capsys, "ant", "11", "-", "--brute")
+    assert code == 3
+    assert out == "error=n! * r^n = 39916800 exceeds the enumeration cap 10000000\n"
 
 
 def test_nc_h3(capsys):
@@ -375,6 +394,8 @@ def test_batch_survives_bad_poset_ranks(tmp_path, capsys):
 
 
 DEEP_JSON = "[" * 100000 + "]" * 100000
+# past Python's int digit limit json.loads raises a plain ValueError
+BIG_INT_JSON = '{"elements": [1, %s], "covers": []}' % ("9" * 5000)
 
 
 def test_poset_undecodable_or_deep_file(tmp_path, capsys):
@@ -382,7 +403,9 @@ def test_poset_undecodable_or_deep_file(tmp_path, capsys):
     undecodable.write_bytes(b'{"elements": ["\xe9"], "covers": []}')
     deep = tmp_path / "deep.json"
     deep.write_text(DEEP_JSON)
-    for path in (undecodable, deep):
+    big = tmp_path / "big.json"
+    big.write_text(BIG_INT_JSON)
+    for path in (undecodable, deep, big):
         code, out, _ = run_cli(capsys, "poset", str(path))
         assert code == 2
         assert out.startswith("error=")
@@ -391,21 +414,25 @@ def test_poset_undecodable_or_deep_file(tmp_path, capsys):
 def test_batch_survives_undecodable_and_deep_lines(tmp_path, capsys):
     deep = tmp_path / "deep.json"
     deep.write_text(DEEP_JSON)
+    big = tmp_path / "big.json"
+    big.write_text(BIG_INT_JSON)
     batch = tmp_path / "batch.txt"
     batch.write_bytes(b"\n".join([
         b'["ant", "3", "1,2"]',
         b'["ant", "3", "\xff"]',
         DEEP_JSON.encode(),
         json.dumps(["poset", str(deep)]).encode(),
+        json.dumps(["ant", "3", "²"]).encode(),
+        json.dumps(["poset", str(big)]).encode(),
         b'["nc", "H4"]',
     ]) + b"\n")
     code, out, _ = run_cli(capsys, "--batch", str(batch))
     assert code == 2
     records = [json.loads(l) for l in out.strip().splitlines()]
-    assert [r["exit"] for r in records] == [0, 2, 2, 2, 0]
+    assert [r["exit"] for r in records] == [0, 2, 2, 2, 2, 2, 0]
     assert "utf-8" in records[1]["error"]
     assert "recursion" in records[2]["error"]
-    assert records[4]["coefficients"] == [1, 275, 842, 232]
+    assert records[6]["coefficients"] == [1, 275, 842, 232]
 
 
 def test_poset_unhashable_element(tmp_path, capsys):
@@ -433,3 +460,28 @@ def test_console_script_entry():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "1,4,1"
+
+
+field_text = st.text(alphabet="0123456789,-/ ²①٣", max_size=12)
+
+
+def _exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return main(argv)
+        except SystemExit as exc:  # an argparse usage error
+            return exc.code
+
+
+@given(field_text, field_text)
+@settings(max_examples=200, deadline=None)
+def test_text_fields_never_crash(t, p):
+    for argv in (
+        ["ant", "4", t],
+        ["poset", SQUARE, "--rank-select", t],
+        ["certify", p],
+        ["certify", "1,2,1", "--interlaces", p],
+        ["certify", p, "--symdec", "3"],
+    ):
+        assert _exit_code(argv) in (0, 1, 2, 3), argv

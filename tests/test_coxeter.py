@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -11,10 +10,8 @@ from chainpoly import (
     ResourceLimitError,
     build_reflection_group,
     chain_polynomial,
-    exact_div,
-    flag_f_nc_d,
+    f_from_h,
     flag_vectors,
-    is_real_rooted,
     nc_chain_polynomial,
     nc_h_formula,
     nc_reversed_h_identity,
@@ -26,7 +23,12 @@ from chainpoly import (
     word_descent_enumerator,
 )
 from chainpoly.coxeter import _absolute_length, _veronese_product
-from oracles import absolute_lengths_bfs, noncrossing_lattice_pairwise
+from oracles import (
+    absolute_lengths_bfs,
+    exact_div_oracle,
+    flag_f_nc_d,
+    noncrossing_lattice_pairwise,
+)
 
 SMALL_GROUPS = (
     ["A%d" % k for k in range(1, 7)]
@@ -71,7 +73,7 @@ def test_classical_h_formulas():
     # type A over k+1 letters, with the 1/(k+1) normalization
     for k in range(1, 6):
         e = word_descent_enumerator(k, k + 1)
-        assert nc_h_formula(CoxeterType("A", k)) == exact_div(e, Poly([k + 1]))
+        assert nc_h_formula(CoxeterType("A", k)) == exact_div_oracle(e, Poly([k + 1]))
     for n in range(1, 6):
         assert nc_h_formula(CoxeterType("B", n)) == word_descent_enumerator(n, n)
     for n in range(2, 7):
@@ -223,14 +225,15 @@ def test_flag_vector_formula_type_b():
 
 
 def test_flag_f_nc_d_bruteforce():
+    # the composition formula against the lattice where it can be built,
+    # and against the formula route's chain counts well beyond that
     for n in [3, 4]:
-        t = CoxeterType("D", n)
-        lat = noncrossing_lattice(build_reflection_group(t))
-        prop = lat.proper_part()
-        f = chain_polynomial(prop)
-        for k in range(1, n):
-            assert flag_f_nc_d(n, k) == f.coeffs[k], (n, k)
-        assert flag_f_nc_d(n, 0) == 1
+        lat = noncrossing_lattice(build_reflection_group(CoxeterType("D", n)))
+        f = chain_polynomial(lat.proper_part())
+        assert [flag_f_nc_d(n, k) for k in range(n)] == list(f.coeffs), n
+    for n in range(3, 12):
+        f = f_from_h(nc_h_formula(CoxeterType("D", n)), n - 1)
+        assert [flag_f_nc_d(n, k) for k in range(n)] == list(f.coeffs), n
 
 
 def test_flag_f_nc_d_hand_value():

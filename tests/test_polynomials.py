@@ -10,7 +10,6 @@ from chainpoly import (
     ZERO,
     DomainError,
     Poly,
-    exact_div,
     f_from_h,
     format_poly,
     h_from_f,
@@ -19,9 +18,14 @@ from chainpoly import (
     is_unimodal,
     mode,
     parse_poly,
-    poly_gcd,
     unimodal_peaks,
     veronese,
+)
+from chainpoly.polynomials import (
+    _exact_quotient,
+    _integer_coeffs,
+    _primitive,
+    _remainder_sequence,
 )
 from oracles import exact_div_oracle
 
@@ -84,10 +88,6 @@ def test_reverse():
         Poly([1, 3]).reverse(0)
 
 
-def test_inflate():
-    assert Poly([1, 2]).inflate(3) == Poly([1, 0, 0, 2])
-
-
 def test_parse_format_roundtrip():
     assert parse_poly("1,4,1") == Poly([1, 4, 1])
     assert parse_poly(" 1, -2 , 3 ") == Poly([1, -2, 3])
@@ -130,19 +130,25 @@ def test_h_f_transform_roundtrip(coeffs, extra):
 
 
 def test_exact_div():
-    p = Poly([0, 1, 2, 1])
-    assert exact_div(p, X) == Poly([1, 2, 1])
+    # the integer long division behind every exact quotient in realroots
+    assert _exact_quotient([0, 1, 2, 1], [0, 1]) == [1, 2, 1]
+    assert _exact_quotient([-2, 1, 1], [2, 1]) == [-1, 1]
+    assert _exact_quotient([], [3]) == []
     with pytest.raises(DomainError):
-        exact_div(Poly([1, 1]), X)
-    with pytest.raises(ZeroDivisionError):
-        exact_div(p, ZERO)
+        _exact_quotient([1, 1], [0, 1])
+    with pytest.raises(DomainError):
+        _exact_quotient([1, 1], [2])
 
 
-def _division(a, b, divide=exact_div):
+def _integer_quotient(a, b):
+    return Poly(_exact_quotient(list(a.coeffs), list(b.coeffs)))
+
+
+def _division(a, b, divide):
     """repr of a / b, or the exception type and message it raises."""
     try:
         return repr(divide(a, b))
-    except (DomainError, ZeroDivisionError) as exc:
+    except DomainError as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -150,28 +156,33 @@ mixed_coeffs = st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=6)
 mixed_polys = st.lists(mixed_coeffs, max_size=5).map(Poly)
 
 
-@given(mixed_polys, mixed_polys, mixed_polys)
+@given(mixed_polys.filter(lambda p: not p.is_zero), mixed_polys, mixed_polys)
 @settings(max_examples=300)
 def test_exact_div_matches_fraction_oracle(b, q, r):
-    # the integer long division against the Fraction loop it replaced
-    assert _division(r, b) == _division(r, b, exact_div_oracle)
-    if b.is_zero:
-        assert _division(q, b)[0] == "ZeroDivisionError"
-        return
-    assert _division(b * q, b) == _division(b * q, b, exact_div_oracle) == repr(q)
+    # the integer long division by a primitive divisor against the Fraction
+    # loop; by Gauss's lemma it is exact over Z whenever it is over Q
+    b = Poly(_primitive(_integer_coeffs(b)))
     low = Poly(r.coeffs[: b.degree])
+    for a in (r, b * q, b * q + low):
+        a = Poly(_integer_coeffs(a))
+        assert _division(a, b, _integer_quotient) == _division(a, b, exact_div_oracle)
+    exact = Poly(_integer_coeffs(b * q))
+    assert _integer_quotient(exact, b) * b == exact
     if not low.is_zero:
         inexact = ("DomainError", "inexact polynomial division")
-        assert _division(b * q + low, b) == _division(b * q + low, b, exact_div_oracle) == inexact
+        assert _division(Poly(_integer_coeffs(b * q + low)), b, _integer_quotient) == inexact
 
 
 def test_poly_gcd():
-    p = Poly([-1, 0, 1])  # (x-1)(x+1)
-    q = Poly([1, 2, 1])   # (x+1)^2
-    g = poly_gcd(p, q)
-    assert g == Poly([1, 1])
-    assert poly_gcd(p, ZERO) == Poly([-1, 0, 1]).scale(1)
-    assert poly_gcd(ZERO, ZERO) == ZERO
+    # the last member of the remainder sequence is the gcd up to sign,
+    # made primitive
+    p = [-1, 0, 1]  # (x-1)(x+1)
+    q = [1, 2, 1]   # (x+1)^2
+    assert _remainder_sequence(p, q)[-1] == [1, 1]
+    assert _remainder_sequence(q, p)[-1] == [-1, -1]
+    assert _remainder_sequence([2, 4], [3, 6])[-1] == [1, 2]
+    assert _remainder_sequence(p, [])[-1] == p
+    assert _remainder_sequence([], [])[-1] == []
 
 
 def test_symmetry():
