@@ -23,6 +23,7 @@ import time
 from fractions import Fraction
 
 from .coxeter import (
+    DEFAULT_GROUP_ORDER_CAP,
     CoxeterType,
     build_reflection_group,
     nc_symdec_report,
@@ -342,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-elements",
         type=int,
-        default=50000,
+        default=DEFAULT_GROUP_ORDER_CAP,
         help="group order cap for --oracle (default %(default)s)",
     )
     common(p)
@@ -415,6 +416,20 @@ def run_command(ns) -> tuple:
     return rep, code
 
 
+def _render(rep: Report, code: int, as_json: bool, batch: bool = False):
+    """Printed text of a report, and its exit code.  A result holding an
+    integer past Python's digit limit for str() is over budget: exit 3."""
+    try:
+        if not as_json:
+            return "\n".join(rep.text_lines()), code
+        obj = rep.json_object()
+        return json.dumps(dict(obj, exit=code) if batch else obj), code
+    except ValueError:
+        err, limit = Report(), sys.get_int_max_str_digits()
+        err.add("error", "unprintable result: an integer of over %d digits" % limit)
+        return _render(err, 3, as_json, batch)
+
+
 def _run_batch(path: str) -> int:
     parser = build_parser()
     worst = 0
@@ -447,9 +462,8 @@ def _run_batch(path: str) -> int:
             worst = max(worst, 2)
             continue
         rep, code = run_command(ns)
-        obj = rep.json_object()
-        obj["exit"] = code
-        print(json.dumps(obj))
+        text, code = _render(rep, code, True, batch=True)
+        print(text)
         worst = max(worst, code)
     return worst
 
@@ -465,11 +479,8 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     rep, code = run_command(ns)
-    if getattr(ns, "json", False):
-        print(json.dumps(rep.json_object()))
-    else:
-        for line in rep.text_lines():
-            print(line)
+    text, code = _render(rep, code, getattr(ns, "json", False))
+    print(text)
     return code
 
 

@@ -266,7 +266,7 @@ def noncrossing_lattice(
         raise DomainError("gamma must be an element of absolute length = rank")
     gi = inverse(gamma)
     level = [g.identity]
-    ranks = {g.identity: 0}
+    elements = [g.identity]
     covers = []
     for ell in range(1, g.rank + 1):
         uppers = set()
@@ -280,8 +280,8 @@ def noncrossing_lattice(
             covers.extend((a, b) for b in above)
             uppers.update(above)
         level = sorted(uppers)
-        ranks.update(dict.fromkeys(level, ell))
-    return GradedBoundedPoset(sorted(ranks), covers, bottom=g.identity, ranks=ranks)
+        elements.extend(level)
+    return GradedBoundedPoset(sorted(elements), covers)
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,9 @@ up-closures (int bitmasks over indices, read everywhere downstream) and
 a topological order.  ``GradedBoundedPoset`` adds a unique minimum, a
 rank function raising by one along covers, and the guarantee that every
 maximal element sits in the top rank; that is the shape the
-rank-selection and flag machinery needs.
+rank-selection and flag machinery needs.  Both are read off the covers:
+the ranks form a list indexed like the cover lists, filled in one walk
+in topological order.
 
 The chain polynomial sums x^(size) over all chains (totally ordered
 subsets, empty chain included), adding whole polynomials packed into
@@ -23,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError, GradedStructureError, PosetFileError
 from .polynomials import Poly, h_from_f
@@ -171,84 +173,66 @@ class Poset:
 
 
 class GradedBoundedPoset(Poset):
-    """Poset with minimum 0-hat, cover-compatible ranks, maxima in rank n."""
+    """Poset with minimum 0-hat, cover-compatible ranks, maxima in rank n.
 
-    def __init__(
-        self,
-        elements: Iterable,
-        covers: Iterable,
-        bottom=None,
-        ranks: Optional[Dict] = None,
-        validate: bool = True,
-    ):
+    The bottom is the one element with no predecessor; every cover raises
+    the rank by one, so the covers fix the ranks.
+    """
+
+    def __init__(self, elements: Iterable, covers: Iterable, validate: bool = True):
         super().__init__(elements, covers, validate=validate)
-        mins = self.minimal_elements()
-        if bottom is None:
-            if len(mins) != 1:
-                raise GradedStructureError(
-                    "no unique minimal element (%d found)" % len(mins)
-                )
-            bottom = mins[0]
-        elif mins != (bottom,):
-            raise GradedStructureError("declared bottom is not the unique minimum")
-        self._bottom = bottom
-        if ranks is None:
-            ranks = self._infer_ranks()
-        self._ranks = dict(ranks)
-        self._validate_ranks()
-
-    def _infer_ranks(self) -> dict:
-        ranks = {self._bottom: 0}
+        mins = [i for i, below in enumerate(self._pred) if not below]
+        if len(mins) != 1:
+            raise GradedStructureError(
+                "no unique minimal element (%d found)" % len(mins)
+            )
+        self._bottom = mins[0]
+        # each element lies above the minimum, so a predecessor ranks it first
+        rank = [-1] * len(self._elements)
+        rank[self._bottom] = 0
         for i in self._topo:
-            x = self._elements[i]
+            r = rank[i] + 1
             for j in self._succ[i]:
-                y = self._elements[j]
-                if x not in ranks:
-                    raise GradedStructureError("element %r unreachable from bottom" % (x,))
-                r = ranks[x] + 1
-                if ranks.setdefault(y, r) != r:
+                if rank[j] < 0:
+                    rank[j] = r
+                elif rank[j] != r:
                     raise GradedStructureError(
-                        "inconsistent rank at %r: covers disagree" % (y,)
+                        "inconsistent rank at %r: covers disagree"
+                        % (self._elements[j],)
                     )
-        return ranks
-
-    def _validate_ranks(self):
-        if set(self._ranks) != set(self._elements):
-            raise GradedStructureError("rank function does not cover all elements")
-        if self._ranks[self._bottom] != 0:
-            raise GradedStructureError("bottom must have rank 0")
-        for x, y in self._covers:
-            if self._ranks[y] != self._ranks[x] + 1:
-                raise GradedStructureError(
-                    "cover (%r, %r) does not raise rank by one" % (x, y)
-                )
+        self._rank = rank
         n = self.rank
-        for x in self.maximal_elements():
-            if self._ranks[x] != n:
+        for i, above in enumerate(self._succ):
+            if not above and rank[i] != n:
                 raise GradedStructureError(
                     "maximal element %r has rank %d, expected %d"
-                    % (x, self._ranks[x], n)
+                    % (self._elements[i], rank[i], n)
                 )
 
     @property
     def bottom(self):
-        return self._bottom
+        return self._elements[self._bottom]
 
-    @property
+    @cached_property
     def rank(self) -> int:
         """Top rank n; the poset is graded of rank n."""
-        return max(self._ranks.values()) if self._ranks else 0
+        return max(self._rank)
 
     def rank_of(self, x) -> int:
-        return self._ranks[x]
+        return self._rank[self._index[x]]
+
+    @cached_property
+    def _levels(self) -> tuple:
+        """Indices grouped by rank, each group ascending."""
+        out = [[] for _ in range(self.rank + 1)]
+        for i, r in enumerate(self._rank):
+            out[r].append(i)
+        return tuple(map(tuple, out))
 
     @cached_property
     def levels(self) -> tuple:
         """Elements grouped by rank, each group in element order."""
-        out = [[] for _ in range(self.rank + 1)]
-        for x in self._elements:
-            out[self._ranks[x]].append(x)
-        return tuple(tuple(level) for level in out)
+        return tuple(tuple(self._elements[i] for i in level) for level in self._levels)
 
 
 def chain_polynomial(poset: Poset) -> Poly:
@@ -309,11 +293,7 @@ def adjoin_max(poset: GradedBoundedPoset) -> GradedBoundedPoset:
     top = _fresh_labels(poset.elements, ["^1"])[0]
     elements = list(poset.elements) + [top]
     covers = list(poset.covers) + [(x, top) for x in poset.maximal_elements()]
-    ranks = {x: poset.rank_of(x) for x in poset.elements}
-    ranks[top] = poset.rank + 1
-    return GradedBoundedPoset(
-        elements, covers, bottom=poset.bottom, ranks=ranks, validate=False
-    )
+    return GradedBoundedPoset(elements, covers, validate=False)
 
 
 def rank_selected(poset: GradedBoundedPoset, t: Iterable) -> GradedBoundedPoset:
@@ -327,31 +307,19 @@ def rank_selected(poset: GradedBoundedPoset, t: Iterable) -> GradedBoundedPoset:
     if any(not isinstance(r, int) or r < 1 or r > n for r in sel):
         raise DomainError("selected ranks must lie in 1..%d" % max(n, 0))
     bot, top = _fresh_labels(poset.elements, ["^0", "^1"])
-    levels = [poset.levels[r] for r in sel]
-    elements = [bot]
-    for level in levels:
-        elements.extend(level)
-    elements.append(top)
-    covers = []
-    ranks = {bot: 0, top: len(sel) + 1}
-    if not sel:
-        covers.append((bot, top))
-    else:
-        for x in levels[0]:
-            covers.append((bot, x))
-        # bits ascend in element order, as the levels do, so each x lists
-        # its covers in the order of the level above
-        up, index, labels = poset._up, poset._index, poset.elements
-        for k in range(len(sel) - 1):
-            above = sum(1 << index[y] for y in levels[k + 1])
-            for x in levels[k]:
-                covers.extend((x, labels[j]) for j in _bits(up[index[x]] & above))
-        for x in levels[-1]:
-            covers.append((x, top))
-        for k, level in enumerate(levels):
-            for x in level:
-                ranks[x] = k + 1
-    out = GradedBoundedPoset(elements, covers, bottom=bot, ranks=ranks, validate=False)
+    labels = poset.elements
+    levels = [poset._levels[r] for r in sel]
+    elements = [bot] + [labels[i] for level in levels for i in level] + [top]
+    covers = [(bot, labels[i]) for i in levels[0]] if sel else [(bot, top)]
+    # bits ascend in element order, as the levels do, so each x lists its
+    # covers in the order of the level above
+    up = poset._up
+    for lower, upper in zip(levels, levels[1:]):
+        above = sum(1 << j for j in upper)
+        for i in lower:
+            covers.extend((labels[i], labels[j]) for j in _bits(up[i] & above))
+    covers.extend((labels[i], top) for level in levels[-1:] for i in level)
+    out = GradedBoundedPoset(elements, covers, validate=False)
     out.selected_ranks = tuple(sel)
     return out
 
@@ -364,7 +332,7 @@ def _alpha_table(poset: GradedBoundedPoset, ranks: Sequence[int]) -> list:
     by the bitmask of S, bit k standing for the k-th smallest rank.
     """
     ranks = sorted(set(ranks))
-    levels = [[poset.index(x) for x in poset.levels[r]] for r in ranks]
+    levels = [poset._levels[r] for r in ranks]
     up = poset._up
     masks = [sum(1 << i for i in level) for level in levels]
     position = {i: k for level in levels for k, i in enumerate(level)}
@@ -476,8 +444,9 @@ def load_poset(path: str):
 
     The object carries "elements" (list of strings or ints), "covers"
     (list of [lower, upper] pairs) and optionally "bottom" and "ranks"
-    (mapping element -> rank).  Returns a GradedBoundedPoset when the
-    graded structure is present or inferable, otherwise a plain Poset.
+    (mapping element -> rank), which force the graded reading and must
+    agree with what the covers give.  Returns a GradedBoundedPoset when
+    the covers are graded and bounded below, otherwise a plain Poset.
     Malformed files raise PosetFileError with a line number when the JSON
     parser provides one.
     """
@@ -527,9 +496,7 @@ def load_poset(path: str):
             for v in ranks.values()
         ):
             raise PosetFileError('"ranks" values must be integers')
-        index = {}
-        for x in elements:
-            index[str(x)] = x
+        index = {str(x): x for x in elements}
         try:
             ranks = {index[k]: int(v) for k, v in ranks.items()}
         except KeyError as exc:
@@ -538,12 +505,22 @@ def load_poset(path: str):
             raise PosetFileError('"ranks" values must be integers') from None
     try:
         try:
-            return GradedBoundedPoset(elements, cover_pairs, bottom=bottom, ranks=ranks)
+            poset = GradedBoundedPoset(elements, cover_pairs)
         except GradedStructureError:
             if bottom is not None or ranks is not None:
                 raise
             return Poset(elements, cover_pairs)
-    except PosetFileError:
-        raise
     except DomainError as exc:
         raise PosetFileError(str(exc)) from None
+    if bottom is not None and bottom != poset.bottom:
+        raise PosetFileError(
+            "declared bottom %r is not the minimum %r" % (bottom, poset.bottom)
+        )
+    if ranks is not None:
+        for x in elements:
+            if ranks.get(x) != poset.rank_of(x):
+                raise PosetFileError(
+                    "rank of %r is %d by its covers, declared %s"
+                    % (x, poset.rank_of(x), ranks.get(x, "none"))
+                )
+    return poset

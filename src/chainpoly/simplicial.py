@@ -36,10 +36,7 @@ def boolean_lattice(n: int) -> GradedBoundedPoset:
         for extra in range(1, n + 1):
             if extra not in x:
                 covers.append((x, x | {extra}))
-    ranks = {x: len(x) for x in elements}
-    return GradedBoundedPoset(
-        elements, covers, bottom=frozenset(), ranks=ranks, validate=False
-    )
+    return GradedBoundedPoset(elements, covers, validate=False)
 
 
 def colored_subset_poset(n: int, r: int) -> GradedBoundedPoset:
@@ -62,10 +59,7 @@ def colored_subset_poset(n: int, r: int) -> GradedBoundedPoset:
             if p not in used:
                 for c in range(r):
                     covers.append((x, x | {(p, c)}))
-    ranks = {x: len(x) for x in elements}
-    return GradedBoundedPoset(
-        elements, covers, bottom=frozenset(), ranks=ranks, validate=False
-    )
+    return GradedBoundedPoset(elements, covers, validate=False)
 
 
 def face_poset(facets: Iterable) -> GradedBoundedPoset:
@@ -102,10 +96,7 @@ def face_poset(facets: Iterable) -> GradedBoundedPoset:
     for x in elements:
         ups = sorted(filter(None, (slot.get(x | {v}) for v in vertices - x)))
         covers.extend((x, y) for _, y in ups)
-    ranks = {x: len(x) for x in elements}
-    return GradedBoundedPoset(
-        elements, covers, bottom=frozenset(), ranks=ranks, validate=False
-    )
+    return GradedBoundedPoset(elements, covers, validate=False)
 
 
 # verdicts keyed weakly, so a poset is freed once its last user drops it
@@ -134,7 +125,7 @@ def _boolean_intervals(poset: GradedBoundedPoset) -> bool:
     for x, above in enumerate(poset._up):
         for y in _bits(above):
             down[y] |= 1 << x
-    levels = [[poset.index(x) for x in level] for level in poset.levels]
+    levels = poset._levels
     atoms = sum(1 << a for a in levels[1]) if len(levels) > 1 else 0
     for r, level in enumerate(levels):
         for y in level:
@@ -154,7 +145,7 @@ def simplicial_h(poset: GradedBoundedPoset) -> Poly:
     transform at degree n.
     """
     n = poset.rank
-    f = Poly([len(level) for level in poset.levels])
+    f = Poly([len(level) for level in poset._levels])
     return h_from_f(f, n)
 
 

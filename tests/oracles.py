@@ -146,8 +146,10 @@ def noncrossing_lattice_pairwise(g, gamma=None) -> GradedBoundedPoset:
             for b in uppers:
                 if compose(ai, b) in g.reflections:
                     covers.append((a, b))
-    ranks = {a: g.lengths[a] for a in nc}
-    return GradedBoundedPoset(nc, covers, bottom=g.identity, ranks=ranks)
+    out = GradedBoundedPoset(nc, covers)
+    # absolute length, from Carter's lemma, must be the rank the covers give
+    assert all(out.rank_of(a) == g.lengths[a] for a in nc)
+    return out
 
 
 def is_simplicial_pairwise(poset: GradedBoundedPoset) -> bool:
@@ -212,7 +214,9 @@ def rank_selected_pairwise(poset: GradedBoundedPoset, t) -> GradedBoundedPoset:
         covers += [(x, top) for x in levels[-1]]
         for k, level in enumerate(levels):
             ranks.update(dict.fromkeys(level, k + 1))
-    out = GradedBoundedPoset(elements, covers, bottom=bot, ranks=ranks, validate=False)
+    out = GradedBoundedPoset(elements, covers, validate=False)
+    # the compressed level must be the rank the covers give
+    assert all(out.rank_of(x) == r for x, r in ranks.items())
     out.selected_ranks = tuple(sel)
     return out
 
@@ -234,10 +238,10 @@ def face_poset_pairwise(facets) -> GradedBoundedPoset:
         for y in face_set
         if len(y) == len(x) + 1 and x < y
     ]
-    ranks = {x: len(x) for x in elements}
-    return GradedBoundedPoset(
-        elements, covers, bottom=frozenset(), ranks=ranks, validate=False
-    )
+    out = GradedBoundedPoset(elements, covers, validate=False)
+    # face size must be the rank the covers give
+    assert all(out.rank_of(x) == len(x) for x in elements)
+    return out
 
 
 def _compositions(total: int, parts: int):

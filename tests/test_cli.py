@@ -170,6 +170,31 @@ def test_batch_survives_overflow(tmp_path, capsys):
     assert records[5]["coefficients"] == [1, 28, 21]
 
 
+# the shifted part sums the coefficients: one digit past what str() prints
+HUGE = "9" * 4300
+UNPRINTABLE_RESULT = ["certify", ",".join([HUGE] * 4 + ["0", "0"]), "--symdec", "5"]
+UNPRINTABLE_ERROR = "unprintable result: an integer of over 4300 digits"
+
+
+def test_unprintable_result_exits_3(capsys):
+    code, out, _ = run_cli(capsys, *UNPRINTABLE_RESULT)
+    assert (code, out) == (3, "error=%s\n" % UNPRINTABLE_ERROR)
+    code, out, _ = run_cli(capsys, *UNPRINTABLE_RESULT, "--json")
+    assert (code, json.loads(out)) == (3, {"error": UNPRINTABLE_ERROR})
+
+
+def test_batch_survives_unprintable_result(tmp_path, capsys):
+    batch = tmp_path / "batch.txt"
+    batch.write_text("\n".join(json.dumps(line) for line in [
+        UNPRINTABLE_RESULT, ["ant", "3", "1,2"],
+    ]) + "\n")
+    code, out, _ = run_cli(capsys, "--batch", str(batch))
+    assert code == 3
+    records = [json.loads(l) for l in out.strip().splitlines()]
+    assert records[0] == {"error": UNPRINTABLE_ERROR, "exit": 3}
+    assert (records[1]["coefficients"], records[1]["exit"]) == ([1, 4, 1], 0)
+
+
 def test_nc_symdec(capsys):
     code, out, _ = run_cli(capsys, "nc", "E8", "--symdec")
     assert code == 0
@@ -451,6 +476,52 @@ def test_poset_fractional_rank(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "poset", str(path))
     assert code == 2
     assert out.splitlines() == ['error="ranks" values must be integers']
+
+
+SQUARE_COVERS = [["e", "a"], ["e", "b"], ["a", "ab"], ["b", "ab"]]
+SQUARE_RANKS = {"e": 0, "a": 1, "b": 1, "ab": 2}
+
+
+def _square_file(path, **declared):
+    path.write_text(json.dumps(
+        {"elements": ["e", "a", "b", "ab"], "covers": SQUARE_COVERS, **declared}
+    ))
+
+
+def test_poset_declared_ranks_match_covers(tmp_path, capsys, monkeypatch):
+    argv = ["poset", "square.json", "--rank-select", "1", "--flags", "--certify"]
+    monkeypatch.chdir(Path(SQUARE).parent)
+    want = run_cli(capsys, *argv)
+    monkeypatch.chdir(tmp_path)
+    _square_file(tmp_path / "square.json", bottom="e", ranks=SQUARE_RANKS)
+    assert run_cli(capsys, *argv) == want
+
+
+BAD_DECLARATIONS = {
+    "off_by_one": ({"ranks": {x: r + 1 for x, r in SQUARE_RANKS.items()}},
+                   "error=rank of 'e' is 0 by its covers, declared 1"),
+    "missing": ({"ranks": {"e": 0, "a": 1, "b": 1}},
+                "error=rank of 'ab' is 2 by its covers, declared none"),
+    "bottom": ({"bottom": "a", "ranks": SQUARE_RANKS},
+               "error=declared bottom 'a' is not the minimum 'e'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DECLARATIONS))
+def test_poset_declared_ranks_disagree(tmp_path, capsys, case):
+    declared, error = BAD_DECLARATIONS[case]
+    path = tmp_path / "square.json"
+    _square_file(path, **declared)
+    assert run_cli(capsys, "poset", str(path)) == (2, error + "\n", "")
+    batch = tmp_path / "batch.txt"
+    batch.write_text("\n".join(json.dumps(line) for line in [
+        ["poset", str(path)], ["ant", "3", "1,2"],
+    ]) + "\n")
+    code, out, _ = run_cli(capsys, "--batch", str(batch))
+    records = [json.loads(l) for l in out.strip().splitlines()]
+    assert code == 2
+    assert records[0] == {"error": error[len("error="):], "exit": 2}
+    assert (records[1]["coefficients"], records[1]["exit"]) == ([1, 4, 1], 0)
 
 
 def test_console_script_entry():

@@ -8,6 +8,7 @@ import pytest
 from chainpoly import (
     DomainError,
     GradedBoundedPoset,
+    GradedStructureError,
     Poly,
     adjoin_max,
     boolean_lattice,
@@ -55,7 +56,33 @@ def random_graded_poset(rng, rank):
             if not any((x, y) in covers for y in levels[k]):
                 covers.add((x, rng.choice(levels[k])))
     elements = [x for level in levels for x in level]
-    return GradedBoundedPoset(elements, sorted(covers), bottom=(0, 0))
+    return GradedBoundedPoset(elements, sorted(covers))
+
+
+def test_ranks_read_off_covers():
+    """Every element (k, i) of a random graded poset has rank k, and a
+    cover skipping a level, implied by no other, breaks the grading."""
+    rng = random.Random(11)
+    skips = 0
+    for _ in range(300):
+        rank = rng.randint(0, 5)
+        p = random_graded_poset(rng, rank)
+        assert p.bottom == (0, 0) and p.rank == rank
+        assert all(p.rank_of(x) == x[0] for x in p.elements)
+        assert [list(level) for level in p.levels] == [
+            [x for x in p.elements if x[0] == k] for k in range(rank + 1)
+        ]
+        pairs = [
+            (x, z)
+            for x in p.elements
+            for z in p.elements
+            if z[0] == x[0] + 2 and not p.less(x, z)
+        ]
+        if pairs:
+            skips += 1
+            with pytest.raises(GradedStructureError, match="covers disagree"):
+                GradedBoundedPoset(p.elements, p.covers + (rng.choice(pairs),))
+    assert skips > 10
 
 
 def test_boolean_lattice_shape():
