@@ -1,12 +1,12 @@
 """Finite posets, chain polynomials, rank selection and flag vectors.
 
-A ``Poset`` stores an element tuple plus an irredundant list of cover
-relations, resolved once to index lists, and lazily derives strict
-up-closures (int bitmasks over indices, read everywhere downstream) and
-a topological order.  ``GradedBoundedPoset`` adds a unique minimum, a
-rank function raising by one along covers, and the guarantee that every
-maximal element sits in the top rank; that is the shape the
-rank-selection and flag machinery needs.  Both are read off the covers:
+A ``Poset`` stores an element tuple plus a list of cover relations,
+resolved once to index lists.  One pass at construction builds and
+checks a topological order (no cycle) and strict up-closures (int
+bitmasks over indices, read downstream; no cover implied by others).
+``GradedBoundedPoset`` adds a unique minimum, a rank function raising by
+one along covers, and every maximal element in the top rank: the shape
+rank selection and flag vectors need.  Both are read off the covers:
 the ranks form a list indexed like the cover lists, filled in one walk
 in topological order.
 
@@ -46,7 +46,7 @@ class Poset:
     iteration order downstream, so output is deterministic.
     """
 
-    def __init__(self, elements: Iterable, covers: Iterable, validate: bool = True):
+    def __init__(self, elements: Iterable, covers: Iterable):
         self._elements = tuple(elements)
         index = self._index = {}
         for i, x in enumerate(self._elements):
@@ -55,7 +55,7 @@ class Poset:
             index[x] = i
         n = len(self._elements)
         succ = [[] for _ in self._elements]
-        pred = [[] for _ in self._elements]
+        indeg = [0] * n
         seen = set()
         cover_list = []
         for x, y in covers:
@@ -67,14 +67,40 @@ class Poset:
             if i * n + j not in seen:
                 seen.add(i * n + j)
                 succ[i].append(j)
-                pred[j].append(i)
+                indeg[j] += 1
                 cover_list.append((x, y))
         self._covers = tuple(cover_list)
         self._succ = tuple(map(tuple, succ))
-        self._pred = tuple(map(tuple, pred))
-        if validate:
-            self._topo  # acyclicity
-            self._check_irredundant()
+        # Kahn's order lists every element before its covers
+        self._minimal = tuple(i for i in range(n) if not indeg[i])
+        order = list(self._minimal)
+        for i in order:
+            for j in succ[i]:
+                indeg[j] -= 1
+                if not indeg[j]:
+                    order.append(j)
+        if len(order) != n:
+            raise DomainError("cover relation contains a cycle")
+        self._topo = tuple(order)
+        # strict up-closures as bitmasks; a cover of i is implied when it
+        # lies above another cover of i
+        up = [0] * n
+        implied = False
+        for i in reversed(order):
+            mask = reach = 0
+            for j in succ[i]:
+                mask |= 1 << j
+                reach |= up[j]
+            if mask & reach:
+                implied = True
+            up[i] = mask | reach
+        self._up = tuple(up)
+        if implied:
+            for x, y in cover_list:
+                if any(up[z] >> index[y] & 1 for z in succ[index[x]]):
+                    raise DomainError(
+                        "cover (%r, %r) is implied by transitivity" % (x, y)
+                    )
 
     @property
     def elements(self) -> tuple:
@@ -93,52 +119,12 @@ class Poset:
     def index(self, x) -> int:
         return self._index[x]
 
-    @cached_property
-    def _topo(self) -> tuple:
-        """Indices in an order listing every element before its covers."""
-        n = len(self._elements)
-        indeg = [len(p) for p in self._pred]
-        queue = [i for i in range(n) if indeg[i] == 0]
-        order = []
-        head = 0
-        while head < len(queue):
-            i = queue[head]
-            head += 1
-            order.append(i)
-            for j in self._succ[i]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    queue.append(j)
-        if len(order) != n:
-            raise DomainError("cover relation contains a cycle")
-        return tuple(order)
-
-    @cached_property
-    def _up(self) -> tuple:
-        """Strict up-closure of each element as a bitmask over indices."""
-        masks = [0] * len(self._elements)
-        for i in reversed(self._topo):
-            m = 0
-            for j in self._succ[i]:
-                m |= (1 << j) | masks[j]
-            masks[i] = m
-        return tuple(masks)
-
-    def _check_irredundant(self):
-        for x, y in self._covers:
-            i, j = self._index[x], self._index[y]
-            for z in self._succ[i]:
-                if z != j and (self._up[z] >> j) & 1:
-                    raise DomainError(
-                        "cover (%r, %r) is implied by transitivity" % (x, y)
-                    )
-
     def less(self, x, y) -> bool:
         """Strict order comparison."""
         return (self._up[self._index[x]] >> self._index[y]) & 1 == 1
 
     def minimal_elements(self) -> tuple:
-        return tuple(x for x in self._elements if not self._pred[self._index[x]])
+        return tuple(self._elements[i] for i in self._minimal)
 
     def maximal_elements(self) -> tuple:
         return tuple(x for x in self._elements if not self._succ[self._index[x]])
@@ -158,7 +144,7 @@ class Poset:
             for j in _bits(above):
                 reach |= self._up[j]
             covers.extend((x, self._elements[j]) for j in _bits(above & ~reach))
-        return Poset(keep_list, covers, validate=False)
+        return Poset(keep_list, covers)
 
     def proper_part(self) -> "Poset":
         """Drop the unique minimum and unique maximum where present."""
@@ -179,14 +165,13 @@ class GradedBoundedPoset(Poset):
     the rank by one, so the covers fix the ranks.
     """
 
-    def __init__(self, elements: Iterable, covers: Iterable, validate: bool = True):
-        super().__init__(elements, covers, validate=validate)
-        mins = [i for i, below in enumerate(self._pred) if not below]
-        if len(mins) != 1:
+    def __init__(self, elements: Iterable, covers: Iterable):
+        super().__init__(elements, covers)
+        if len(self._minimal) != 1:
             raise GradedStructureError(
-                "no unique minimal element (%d found)" % len(mins)
+                "no unique minimal element (%d found)" % len(self._minimal)
             )
-        self._bottom = mins[0]
+        self._bottom = self._minimal[0]
         # each element lies above the minimum, so a predecessor ranks it first
         rank = [-1] * len(self._elements)
         rank[self._bottom] = 0
@@ -293,7 +278,16 @@ def adjoin_max(poset: GradedBoundedPoset) -> GradedBoundedPoset:
     top = _fresh_labels(poset.elements, ["^1"])[0]
     elements = list(poset.elements) + [top]
     covers = list(poset.covers) + [(x, top) for x in poset.maximal_elements()]
-    return GradedBoundedPoset(elements, covers, validate=False)
+    return GradedBoundedPoset(elements, covers)
+
+
+def _selection(poset: GradedBoundedPoset, t: Iterable) -> list:
+    """The ranks in t, ascending; each must be a proper rank of the poset."""
+    n = poset.rank - 1
+    sel = sorted(set(t))
+    if any(not isinstance(r, int) or r < 1 or r > n for r in sel):
+        raise DomainError("selected ranks must lie in 1..%d" % max(n, 0))
+    return sel
 
 
 def rank_selected(poset: GradedBoundedPoset, t: Iterable) -> GradedBoundedPoset:
@@ -302,10 +296,7 @@ def rank_selected(poset: GradedBoundedPoset, t: Iterable) -> GradedBoundedPoset:
     Ranks are compressed to 1..len(t); the chosen original ranks are kept
     on the result as ``selected_ranks``.
     """
-    n = poset.rank - 1
-    sel = sorted(set(t))
-    if any(not isinstance(r, int) or r < 1 or r > n for r in sel):
-        raise DomainError("selected ranks must lie in 1..%d" % max(n, 0))
+    sel = _selection(poset, t)
     bot, top = _fresh_labels(poset.elements, ["^0", "^1"])
     labels = poset.elements
     levels = [poset._levels[r] for r in sel]
@@ -319,7 +310,7 @@ def rank_selected(poset: GradedBoundedPoset, t: Iterable) -> GradedBoundedPoset:
         for i in lower:
             covers.extend((labels[i], labels[j]) for j in _bits(up[i] & above))
     covers.extend((labels[i], top) for level in levels[-1:] for i in level)
-    out = GradedBoundedPoset(elements, covers, validate=False)
+    out = GradedBoundedPoset(elements, covers)
     out.selected_ranks = tuple(sel)
     return out
 
@@ -429,10 +420,7 @@ def rank_selected_h(poset: GradedBoundedPoset, t: Iterable) -> Poly:
     equals the beta generating sum over subsets of t, which the tests
     cross-check against chain enumeration on rank_selected(poset, t).
     """
-    n = poset.rank - 1
-    sel = sorted(set(t))
-    if any(not isinstance(r, int) or r < 1 or r > n for r in sel):
-        raise DomainError("selected ranks must lie in 1..%d" % max(n, 0))
+    sel = _selection(poset, t)
     f = [0] * (len(sel) + 1)
     for mask, count in enumerate(_alpha_table(poset, sel)):
         f[bin(mask).count("1")] += count
@@ -475,17 +463,18 @@ def load_poset(path: str):
     covers = data["covers"]
     if not isinstance(elements, list):
         raise PosetFileError('"elements" must be a list')
-    # JSON arrays and objects are unhashable, so they cannot name elements.
-    if any(isinstance(x, (list, dict)) for x in elements):
-        raise PosetFileError('"elements" must hold strings or integers')
     if not isinstance(covers, list) or not all(
-        isinstance(c, list) and len(c) == 2
-        and not any(isinstance(x, (list, dict)) for x in c)
-        for c in covers
+        isinstance(c, list) and len(c) == 2 for c in covers
     ):
         raise PosetFileError('"covers" must be a list of [lower, upper] pairs')
     cover_pairs = [(a, b) for a, b in covers]
     bottom = data.get("bottom")
+    names = elements + [x for pair in covers for x in pair]
+    if bottom is not None:
+        names.append(bottom)
+    # true and 1.0 would pass for the element 1
+    if any(type(x) not in (str, int) for x in names):
+        raise PosetFileError("element names must be strings or integers")
     ranks = data.get("ranks")
     if ranks is not None:
         if not isinstance(ranks, dict):
@@ -496,7 +485,11 @@ def load_poset(path: str):
             for v in ranks.values()
         ):
             raise PosetFileError('"ranks" values must be integers')
-        index = {str(x): x for x in elements}
+        index = {}
+        for x in elements:
+            y = index.setdefault(str(x), x)
+            if y != x:
+                raise PosetFileError('"ranks" cannot tell %r from %r' % (y, x))
         try:
             ranks = {index[k]: int(v) for k, v in ranks.items()}
         except KeyError as exc:

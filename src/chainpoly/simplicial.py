@@ -36,7 +36,7 @@ def boolean_lattice(n: int) -> GradedBoundedPoset:
         for extra in range(1, n + 1):
             if extra not in x:
                 covers.append((x, x | {extra}))
-    return GradedBoundedPoset(elements, covers, validate=False)
+    return GradedBoundedPoset(elements, covers)
 
 
 def colored_subset_poset(n: int, r: int) -> GradedBoundedPoset:
@@ -59,7 +59,7 @@ def colored_subset_poset(n: int, r: int) -> GradedBoundedPoset:
             if p not in used:
                 for c in range(r):
                     covers.append((x, x | {(p, c)}))
-    return GradedBoundedPoset(elements, covers, validate=False)
+    return GradedBoundedPoset(elements, covers)
 
 
 def face_poset(facets: Iterable) -> GradedBoundedPoset:
@@ -88,15 +88,14 @@ def face_poset(facets: Iterable) -> GradedBoundedPoset:
         for size in range(len(members) + 1):
             faces.update(frozenset(c) for c in combinations(members, size))
     elements = sorted(faces, key=lambda s: (len(s), sorted(map(repr, s))))
-    # the faces x + {v} cover x; list them as the element objects, in the
-    # order that iterating set(elements) meets them
-    slot = {y: (k, y) for k, y in enumerate(set(elements))}
+    # the faces x + {v} cover x; list them as element objects, in element order
+    position = {y: k for k, y in enumerate(elements)}
     vertices = frozenset().union(*maximal)
     covers = []
     for x in elements:
-        ups = sorted(filter(None, (slot.get(x | {v}) for v in vertices - x)))
-        covers.extend((x, y) for _, y in ups)
-    return GradedBoundedPoset(elements, covers, validate=False)
+        ups = (position.get(x | {v}, -1) for v in vertices - x)
+        covers.extend((x, elements[k]) for k in sorted(ups) if k >= 0)
+    return GradedBoundedPoset(elements, covers)
 
 
 # verdicts keyed weakly, so a poset is freed once its last user drops it

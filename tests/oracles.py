@@ -10,7 +10,10 @@ simplicial oracle compares the order with atom-set containment on every
 pair below each element, and the subposet oracle finds covers by testing
 every pair of kept elements.  The rank-selection oracle compares every
 pair of consecutive selected levels, and the face-poset oracle tests
-every pair of faces; the package reads both from bitmasks instead.
+every pair of faces; the package reads both from bitmasks instead.  The
+cover-check oracle finds each up-set by depth-first search over the
+cover list and tests every cover against the up-sets of its siblings,
+where the package folds that test into its one up-set pass.
 
 The type-D chain counts come from a composition formula, independent of
 both the lattice and the h-polynomial formula route.
@@ -180,6 +183,71 @@ def is_simplicial_pairwise(poset: GradedBoundedPoset) -> bool:
     return True
 
 
+def cover_check_pairwise(elements, covers):
+    """The error a Poset on these covers raises, and its strict order.
+
+    Returns ((type, message) or None, set of pairs x < y).  The checks
+    run in the package's order: a duplicate element, then per cover in
+    input order unknown ends and self-covers, then a cycle, then the
+    first cover in input order that lies above another cover of its
+    lower end.  Up-sets come from depth-first search over the covers.
+    """
+    seen = []
+    for x in elements:
+        if x in seen:
+            return (DomainError, "duplicate element %r" % (x,)), set()
+        seen.append(x)
+    pairs = []
+    for x, y in covers:
+        if x not in seen or y not in seen:
+            return (DomainError, "cover (%r, %r) uses unknown elements" % (x, y)), set()
+        if x == y:
+            return (DomainError, "self-cover at %r" % (x,)), set()
+        if (x, y) not in pairs:
+            pairs.append((x, y))
+
+    def up_set(x):
+        out, stack = set(), [x]
+        while stack:
+            a = stack.pop()
+            for b in (b for c, b in pairs if c == a and b not in out):
+                out.add(b)
+                stack.append(b)
+        return out
+
+    up = {x: up_set(x) for x in elements}
+    less = {(x, y) for x in elements for y in up[x]}
+    if any(x in up[x] for x in elements):
+        return (DomainError, "cover relation contains a cycle"), less
+    for x, y in pairs:
+        if any(y in up[z] for c, z in pairs if c == x):
+            return (DomainError, "cover (%r, %r) is implied by transitivity" % (x, y)), less
+    return None, less
+
+
+def graded_ranks_pairwise(elements, covers):
+    """Rank of each element of a checked cover list when it is graded and
+    bounded below, else None: one minimal element, every path from it to
+    an element of one length, and every maximal element in the top rank.
+    Path lengths come from listing every path."""
+    minimal = [x for x in elements if all(y != x for _, y in covers)]
+    if len(minimal) != 1:
+        return None
+    lengths = {x: set() for x in elements}
+    stack = [(minimal[0], 0)]
+    while stack:
+        x, length = stack.pop()
+        lengths[x].add(length)
+        stack.extend((y, length + 1) for c, y in covers if c == x)
+    if any(len(found) != 1 for found in lengths.values()):
+        return None
+    ranks = {x: found.pop() for x, found in lengths.items()}
+    maximal = [x for x in elements if all(c != x for c, _ in covers)]
+    if any(ranks[x] != max(ranks.values()) for x in maximal):
+        return None
+    return ranks
+
+
 def subposet_pairwise(poset: Poset, keep) -> Poset:
     """Induced subposet: b covers a when a < b and no kept c above a is
     below b, tested for every pair of kept elements."""
@@ -191,7 +259,7 @@ def subposet_pairwise(poset: Poset, keep) -> Poset:
         for b in ups:
             if not any(poset.less(c, b) for c in ups):
                 covers.append((a, b))
-    return Poset(keep_list, covers, validate=False)
+    return Poset(keep_list, covers)
 
 
 def rank_selected_pairwise(poset: GradedBoundedPoset, t) -> GradedBoundedPoset:
@@ -214,7 +282,7 @@ def rank_selected_pairwise(poset: GradedBoundedPoset, t) -> GradedBoundedPoset:
         covers += [(x, top) for x in levels[-1]]
         for k, level in enumerate(levels):
             ranks.update(dict.fromkeys(level, k + 1))
-    out = GradedBoundedPoset(elements, covers, validate=False)
+    out = GradedBoundedPoset(elements, covers)
     # the compressed level must be the rank the covers give
     assert all(out.rank_of(x) == r for x, r in ranks.items())
     out.selected_ranks = tuple(sel)
@@ -223,7 +291,7 @@ def rank_selected_pairwise(poset: GradedBoundedPoset, t) -> GradedBoundedPoset:
 
 def face_poset_pairwise(facets) -> GradedBoundedPoset:
     """Face poset of a pure complex with a cover for every pair of faces
-    x < y of consecutive sizes, scanned over the set of all faces."""
+    x < y of consecutive sizes, scanned in element order."""
     facet_sets = [frozenset(f) for f in facets]
     maximal = [f for f in facet_sets if not any(f < g for g in facet_sets)]
     faces = set()
@@ -231,14 +299,13 @@ def face_poset_pairwise(facets) -> GradedBoundedPoset:
         for size in range(len(f) + 1):
             faces.update(frozenset(c) for c in combinations(sorted(f), size))
     elements = sorted(faces, key=lambda s: (len(s), sorted(map(repr, s))))
-    face_set = set(elements)
     covers = [
         (x, y)
         for x in elements
-        for y in face_set
+        for y in elements
         if len(y) == len(x) + 1 and x < y
     ]
-    out = GradedBoundedPoset(elements, covers, validate=False)
+    out = GradedBoundedPoset(elements, covers)
     # face size must be the rank the covers give
     assert all(out.rank_of(x) == len(x) for x in elements)
     return out

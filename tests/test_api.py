@@ -1,6 +1,8 @@
 """The public API, pinned: adding, removing or renaming an exported name
 shows up as an edit to this list."""
 
+import inspect
+
 import chainpoly
 
 PUBLIC_NAMES = [
@@ -78,3 +80,9 @@ def test_public_names_are_pinned():
 def test_public_names_resolve():
     for name in chainpoly.__all__:
         assert getattr(chainpoly, name) is not None, name
+
+
+def test_poset_constructors_take_elements_and_covers():
+    # every poset is checked at construction; no argument turns that off
+    for cls in (chainpoly.Poset, chainpoly.GradedBoundedPoset):
+        assert list(inspect.signature(cls).parameters) == ["elements", "covers"]

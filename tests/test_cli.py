@@ -478,6 +478,36 @@ def test_poset_fractional_rank(tmp_path, capsys):
     assert out.splitlines() == ['error="ranks" values must be integers']
 
 
+NOT_NAMES = {
+    "bottom_true": {"elements": [1, 2], "covers": [[1, 2]], "bottom": True},
+    "bottom_float": {"elements": [1, 2], "covers": [[1, 2]], "bottom": 1.0},
+    "cover_true": {"elements": [1, 2], "covers": [[True, 2]]},
+    "elements_float_null": {"elements": [1.5, None], "covers": []},
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_NAMES))
+def test_poset_names_are_strings_or_integers(tmp_path, capsys, case):
+    # true and 1.0 compare equal to 1, so they would pass for the element 1
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps(NOT_NAMES[case]))
+    assert run_cli(capsys, "poset", str(path)) == (
+        2, "error=element names must be strings or integers\n", ""
+    )
+
+
+def test_poset_ranks_keys_collide(tmp_path, capsys):
+    data = {"elements": ["1", 1], "covers": [["1", 1]]}
+    path = tmp_path / "collide.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "poset", str(path))
+    assert (code, out.splitlines()[0]) == (0, "1,2,1")
+    path.write_text(json.dumps({**data, "ranks": {"1": 0}}))
+    assert run_cli(capsys, "poset", str(path)) == (
+        2, """error="ranks" cannot tell '1' from 1\n""", ""
+    )
+
+
 SQUARE_COVERS = [["e", "a"], ["e", "b"], ["a", "ab"], ["b", "ab"]]
 SQUARE_RANKS = {"e": 0, "a": 1, "b": 1, "ab": 2}
 

@@ -23,6 +23,7 @@ from chainpoly import (
     rank_selected,
     rank_selected_h,
 )
+from oracles import cover_check_pairwise, graded_ranks_pairwise
 
 
 def brute_chain_polynomial(poset):
@@ -61,6 +62,85 @@ def test_construction_and_covers():
     # transitively implied pairs are not covers and are rejected
     with pytest.raises(DomainError):
         Poset([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
+
+
+def random_cover_list(rng):
+    """Up to 7 elements and a cover list with duplicate elements and
+    covers, self-covers, unknown ends, cycles and implied covers each at
+    random positions, around either random layers or a random order."""
+    elements = rng.sample([0, 1, 2, 3, "a", "b", "c", "d"], rng.randint(0, 7))
+    if rng.random() < 0.5:
+        # layers 0..3, each cover one layer up: graded when it is bounded
+        layer = {x: rng.randint(1, 3) for x in elements}
+        if elements:
+            layer[elements[0]] = 0
+        covers = [
+            (x, y)
+            for x in elements
+            for y in elements
+            if layer[y] == layer[x] + 1 and rng.random() < 0.7
+        ]
+    else:
+        covers = [
+            (x, y)
+            for k, x in enumerate(elements)
+            for y in elements[k + 1:]
+            if rng.random() < 0.3
+        ]
+    bad = []
+    if elements and rng.random() < 0.05:
+        elements.insert(rng.randrange(len(elements)), rng.choice(elements))
+    if covers and rng.random() < 0.1:
+        bad.append(rng.choice(covers))
+    if elements and rng.random() < 0.05:
+        x = rng.choice(elements)
+        bad.append((x, x))
+    if elements and rng.random() < 0.05:
+        bad.append(rng.choice([("z", elements[0]), (elements[-1], "z")]))
+    if len(elements) > 1 and rng.random() < 0.2:
+        x, y = rng.sample(elements, 2)
+        bad.append((x, y))
+    for pair in bad:
+        covers.insert(rng.randint(0, len(covers)), pair)
+    return elements, covers
+
+
+def test_construction_check_matches_pairwise_oracle():
+    """Poset and GradedBoundedPoset build exactly when the cover-check
+    oracle does, with the order the oracle finds, and otherwise raise its
+    exception and message, whatever the order of faults in the input."""
+    rng = random.Random(19)
+    outcomes = {}
+    for _ in range(3000):
+        elements, covers = random_cover_list(rng)
+        error, less = cover_check_pairwise(elements, covers)
+        ranks = graded_ranks_pairwise(elements, covers) if error is None else None
+        for cls in (Poset, GradedBoundedPoset):
+            if error is not None:
+                with pytest.raises(DomainError) as exc:
+                    cls(elements, covers)
+                assert (type(exc.value), str(exc.value)) == error
+                key = next(
+                    word
+                    for word in ("duplicate", "unknown", "self-cover", "cycle", "implied")
+                    if word in error[1]
+                )
+            elif cls is GradedBoundedPoset and ranks is None:
+                with pytest.raises(GradedStructureError):
+                    cls(elements, covers)
+                key = "ungraded"
+            else:
+                p = cls(elements, covers)
+                assert {(x, y) for x in elements for y in elements if p.less(x, y)} == less
+                assert p.minimal_elements() == tuple(
+                    x for x in elements if all(y != x for _, y in covers)
+                )
+                assert p.covers == tuple(dict.fromkeys(covers))
+                if cls is GradedBoundedPoset:
+                    assert {x: p.rank_of(x) for x in elements} == ranks
+                key = cls.__name__
+            outcomes[key] = outcomes.get(key, 0) + 1
+    assert len(outcomes) == 8 and min(outcomes.values()) > 50, outcomes
 
 
 def test_cycle_rejected():

@@ -1,5 +1,8 @@
 import gc
+import os
 import random
+import subprocess
+import sys
 import weakref
 from itertools import combinations
 
@@ -158,6 +161,25 @@ def test_face_poset_matches_pairwise_oracle():
         assert _shape(p) == _shape(face_poset_pairwise(facets))
         # covers hold the element objects themselves, not equal copies
         assert all(p.elements[p.index(y)] is y for _, y in p.covers)
+
+
+def test_face_poset_covers_ignore_hash_seed():
+    # string vertices hash differently under each seed; the covers follow
+    # the element order all the same
+    script = (
+        "from chainpoly import face_poset\n"
+        "facets = [('a', 'b', 'c'), ('b', 'c', 'd'), ('c', 'd', 'e'), ('x', 'a', 'd')]\n"
+        "print([(sorted(x), sorted(y)) for x, y in face_poset(facets).covers])\n"
+    )
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outs[0].startswith("[([], ['a']), ([], ['b'])") and outs[0] == outs[1]
 
 
 def test_rank_selected_matches_pairwise_oracle():
