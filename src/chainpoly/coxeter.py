@@ -281,7 +281,10 @@ def noncrossing_lattice(
             uppers.update(above)
         level = sorted(uppers)
         elements.extend(level)
-    return GradedBoundedPoset(sorted(elements), covers)
+    elements.sort()
+    position = {w: k for k, w in enumerate(elements)}
+    pairs = [(position[a], position[b]) for a, b in covers]
+    return GradedBoundedPoset._from_pairs(elements, pairs)
 
 
 @lru_cache(maxsize=None)

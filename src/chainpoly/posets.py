@@ -1,9 +1,12 @@
 """Finite posets, chain polynomials, rank selection and flag vectors.
 
-A ``Poset`` stores an element tuple plus a list of cover relations,
-resolved once to index lists.  One pass at construction builds and
-checks a topological order (no cycle) and strict up-closures (int
-bitmasks over indices, read downstream; no cover implied by others).
+A ``Poset`` stores an element tuple plus its covers as index pairs.
+One construction core builds and checks from those pairs a topological
+order (no cycle) and strict up-closures (int bitmasks over indices, read
+downstream; no cover implied by others).  Builders and derived posets
+hand it positions; ``Poset(elements, covers)`` is the front for user
+input, resolving labels and rejecting duplicates, unknown ends and
+self-covers.  The label index and cover tuple are built when first read.
 ``GradedBoundedPoset`` adds a unique minimum, a rank function raising by
 one along covers, and every maximal element in the top rank: the shape
 rank selection and flag vectors need.  Both are read off the covers:
@@ -47,17 +50,15 @@ class Poset:
     """
 
     def __init__(self, elements: Iterable, covers: Iterable):
-        self._elements = tuple(elements)
+        elements = tuple(elements)
         index = self._index = {}
-        for i, x in enumerate(self._elements):
+        for i, x in enumerate(elements):
             if x in index:
                 raise DomainError("duplicate element %r" % (x,))
             index[x] = i
-        n = len(self._elements)
-        succ = [[] for _ in self._elements]
-        indeg = [0] * n
+        n = len(elements)
         seen = set()
-        cover_list = []
+        pairs = []
         for x, y in covers:
             i, j = index.get(x, -1), index.get(y, -1)
             if i < 0 or j < 0:
@@ -66,10 +67,28 @@ class Poset:
                 raise DomainError("self-cover at %r" % (x,))
             if i * n + j not in seen:
                 seen.add(i * n + j)
-                succ[i].append(j)
-                indeg[j] += 1
-                cover_list.append((x, y))
-        self._covers = tuple(cover_list)
+                pairs.append((i, j))
+        self._build(elements, pairs)
+
+    @classmethod
+    def _from_pairs(cls, elements: Sequence, pairs: list) -> "Poset":
+        """Poset on distinct elements from distinct index pairs (i, j),
+        j covering i, in cover order: checked like the label front."""
+        poset = cls.__new__(cls)
+        poset._build(tuple(elements), pairs)
+        return poset
+
+    def _build(self, elements: tuple, pairs: list):
+        """The one construction core: cover lists, Kahn's order (no
+        cycle), up-set bitmasks and the implied-cover test."""
+        self._elements = elements
+        self._pairs = pairs
+        n = len(elements)
+        succ = [[] for _ in elements]
+        indeg = [0] * n
+        for i, j in pairs:
+            succ[i].append(j)
+            indeg[j] += 1
         self._succ = tuple(map(tuple, succ))
         # Kahn's order lists every element before its covers
         self._minimal = tuple(i for i in range(n) if not indeg[i])
@@ -96,19 +115,26 @@ class Poset:
             up[i] = mask | reach
         self._up = tuple(up)
         if implied:
-            for x, y in cover_list:
-                if any(up[z] >> index[y] & 1 for z in succ[index[x]]):
+            for i, j in pairs:
+                if any(up[z] >> j & 1 for z in succ[i]):
                     raise DomainError(
-                        "cover (%r, %r) is implied by transitivity" % (x, y)
+                        "cover (%r, %r) is implied by transitivity"
+                        % (elements[i], elements[j])
                     )
+
+    @cached_property
+    def _index(self) -> dict:
+        return {x: i for i, x in enumerate(self._elements)}
 
     @property
     def elements(self) -> tuple:
         return self._elements
 
-    @property
+    @cached_property
     def covers(self) -> tuple:
-        return self._covers
+        """Cover pairs (lower, upper) in the given order, as element objects."""
+        els = self._elements
+        return tuple((els[i], els[j]) for i, j in self._pairs)
 
     def __len__(self):
         return len(self._elements)
@@ -127,35 +153,42 @@ class Poset:
         return tuple(self._elements[i] for i in self._minimal)
 
     def maximal_elements(self) -> tuple:
-        return tuple(x for x in self._elements if not self._succ[self._index[x]])
+        return tuple(x for x, above in zip(self._elements, self._succ) if not above)
 
     def subposet(self, keep: Iterable) -> "Poset":
         """Induced subposet on the given elements, covers recomputed."""
         keep = set(keep)
-        keep_list = [x for x in self._elements if x in keep]
-        mask = 0
-        for x in keep_list:
-            mask |= 1 << self._index[x]
-        covers = []
-        for x in keep_list:
-            # covers: kept elements above x and above no other kept one above x
-            above = self._up[self._index[x]] & mask
+        kept = [i for i, x in enumerate(self._elements) if x in keep]
+        mask = sum(1 << i for i in kept)
+        position = {i: k for k, i in enumerate(kept)}
+        up = self._up
+        pairs = []
+        for k, i in enumerate(kept):
+            # covers: kept elements above i and above no other kept one above i
+            above = up[i] & mask
             reach = 0
             for j in _bits(above):
-                reach |= self._up[j]
-            covers.extend((x, self._elements[j]) for j in _bits(above & ~reach))
-        return Poset(keep_list, covers)
+                reach |= up[j]
+            pairs.extend((k, position[j]) for j in _bits(above & ~reach))
+        return Poset._from_pairs([self._elements[i] for i in kept], pairs)
 
     def proper_part(self) -> "Poset":
-        """Drop the unique minimum and unique maximum where present."""
-        drop = set()
-        mins = self.minimal_elements()
-        maxs = self.maximal_elements()
-        if len(mins) == 1:
-            drop.add(mins[0])
-        if len(maxs) == 1:
-            drop.add(maxs[0])
-        return self.subposet([x for x in self._elements if x not in drop])
+        """Drop the unique minimum and unique maximum where present.
+
+        Nothing lies strictly between an extreme and another element, so
+        the covers are the old ones between kept elements, sorted into
+        the order ``subposet`` lists them in.
+        """
+        maxima = [i for i, above in enumerate(self._succ) if not above]
+        drop = {ends[0] for ends in (self._minimal, maxima) if len(ends) == 1}
+        new = [-1] * len(self._elements)
+        kept = [i for i in range(len(new)) if i not in drop]
+        for k, i in enumerate(kept):
+            new[i] = k
+        pairs = sorted(
+            (new[i], new[j]) for i, j in self._pairs if new[i] >= 0 and new[j] >= 0
+        )
+        return Poset._from_pairs([self._elements[i] for i in kept], pairs)
 
 
 class GradedBoundedPoset(Poset):
@@ -165,8 +198,8 @@ class GradedBoundedPoset(Poset):
     the rank by one, so the covers fix the ranks.
     """
 
-    def __init__(self, elements: Iterable, covers: Iterable):
-        super().__init__(elements, covers)
+    def _build(self, elements: tuple, pairs: list):
+        super()._build(elements, pairs)
         if len(self._minimal) != 1:
             raise GradedStructureError(
                 "no unique minimal element (%d found)" % len(self._minimal)
@@ -276,16 +309,17 @@ def adjoin_max(poset: GradedBoundedPoset) -> GradedBoundedPoset:
     input itself is the object of interest (e.g. a simplicial poset).
     """
     top = _fresh_labels(poset.elements, ["^1"])[0]
-    elements = list(poset.elements) + [top]
-    covers = list(poset.covers) + [(x, top) for x in poset.maximal_elements()]
-    return GradedBoundedPoset(elements, covers)
+    n = len(poset)
+    pairs = list(poset._pairs)
+    pairs.extend((i, n) for i, above in enumerate(poset._succ) if not above)
+    return GradedBoundedPoset._from_pairs(poset.elements + (top,), pairs)
 
 
 def _selection(poset: GradedBoundedPoset, t: Iterable) -> list:
     """The ranks in t, ascending; each must be a proper rank of the poset."""
     n = poset.rank - 1
     sel = sorted(set(t))
-    if any(not isinstance(r, int) or r < 1 or r > n for r in sel):
+    if any(type(r) is not int or r < 1 or r > n for r in sel):
         raise DomainError("selected ranks must lie in 1..%d" % max(n, 0))
     return sel
 
@@ -300,17 +334,22 @@ def rank_selected(poset: GradedBoundedPoset, t: Iterable) -> GradedBoundedPoset:
     bot, top = _fresh_labels(poset.elements, ["^0", "^1"])
     labels = poset.elements
     levels = [poset._levels[r] for r in sel]
-    elements = [bot] + [labels[i] for level in levels for i in level] + [top]
-    covers = [(bot, labels[i]) for i in levels[0]] if sel else [(bot, top)]
-    # bits ascend in element order, as the levels do, so each x lists its
-    # covers in the order of the level above
+    kept = [i for level in levels for i in level]
+    # kept element i sits at position[i] between the bottom 0 and the top
+    position = {i: k for k, i in enumerate(kept, 1)}
+    last = len(kept) + 1
+    pairs = [(0, position[i]) for i in levels[0]] if sel else [(0, 1)]
+    # bits ascend in element order, as the levels do, so each element
+    # lists its covers in the order of the level above
     up = poset._up
     for lower, upper in zip(levels, levels[1:]):
         above = sum(1 << j for j in upper)
         for i in lower:
-            covers.extend((labels[i], labels[j]) for j in _bits(up[i] & above))
-    covers.extend((labels[i], top) for level in levels[-1:] for i in level)
-    out = GradedBoundedPoset(elements, covers)
+            k = position[i]
+            pairs.extend((k, position[j]) for j in _bits(up[i] & above))
+    pairs.extend((position[i], last) for level in levels[-1:] for i in level)
+    elements = [bot] + [labels[i] for i in kept] + [top]
+    out = GradedBoundedPoset._from_pairs(elements, pairs)
     out.selected_ranks = tuple(sel)
     return out
 
@@ -387,9 +426,9 @@ class FlagVectors:
 
     def _mask(self, t: Iterable) -> int:
         t = frozenset(t)
-        if not t <= frozenset(range(1, self.n + 1)):
+        if any(type(r) is not int or r < 1 or r > self.n for r in t):
             raise KeyError(t)
-        return sum(1 << (int(r) - 1) for r in t)
+        return sum(1 << (r - 1) for r in t)
 
     def alpha(self, t: Iterable) -> int:
         return self._alpha[self._mask(t)]

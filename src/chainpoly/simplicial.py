@@ -2,8 +2,9 @@
 
 A graded bounded poset is simplicial when every lower interval [0-hat, y]
 is a Boolean lattice; the check realizes the isomorphism explicitly
-through atom sets, read off down-set bitmasks, and its verdict lives as
-long as the poset does.  Face posets find each face's covers by adding
+through atom sets, read off down-set bitmasks that one pass over the
+covers in topological order builds, and its verdict lives as long as
+the poset does.  Face posets find each face's covers by adding
 one vertex at a time.  For such posets of rank n the h-vector comes from
 the level counts, and the flag beta vector factors through descent
 classes of permutations of n+1 letters: beta(S) equals the sum over k of
@@ -31,12 +32,11 @@ def boolean_lattice(n: int) -> GradedBoundedPoset:
     elements = []
     for size in range(n + 1):
         elements.extend(frozenset(c) for c in combinations(range(1, n + 1), size))
-    covers = []
-    for x in elements:
-        for extra in range(1, n + 1):
-            if extra not in x:
-                covers.append((x, x | {extra}))
-    return GradedBoundedPoset(elements, covers)
+    position = {x: k for k, x in enumerate(elements)}
+    pairs = []
+    for k, x in enumerate(elements):
+        pairs.extend((k, position[x | {p}]) for p in range(1, n + 1) if p not in x)
+    return GradedBoundedPoset._from_pairs(elements, pairs)
 
 
 def colored_subset_poset(n: int, r: int) -> GradedBoundedPoset:
@@ -52,14 +52,13 @@ def colored_subset_poset(n: int, r: int) -> GradedBoundedPoset:
         for points in combinations(range(1, n + 1), size):
             for colors in product(range(r), repeat=size):
                 elements.append(frozenset(zip(points, colors)))
-    covers = []
-    for x in elements:
+    position = {x: k for k, x in enumerate(elements)}
+    pairs = []
+    for k, x in enumerate(elements):
         used = {p for p, _ in x}
-        for p in range(1, n + 1):
-            if p not in used:
-                for c in range(r):
-                    covers.append((x, x | {(p, c)}))
-    return GradedBoundedPoset(elements, covers)
+        free = (p for p in range(1, n + 1) if p not in used)
+        pairs.extend((k, position[x | {(p, c)}]) for p in free for c in range(r))
+    return GradedBoundedPoset._from_pairs(elements, pairs)
 
 
 def face_poset(facets: Iterable) -> GradedBoundedPoset:
@@ -88,14 +87,14 @@ def face_poset(facets: Iterable) -> GradedBoundedPoset:
         for size in range(len(members) + 1):
             faces.update(frozenset(c) for c in combinations(members, size))
     elements = sorted(faces, key=lambda s: (len(s), sorted(map(repr, s))))
-    # the faces x + {v} cover x; list them as element objects, in element order
+    # the faces x + {v} cover x; list them in element order
     position = {y: k for k, y in enumerate(elements)}
     vertices = frozenset().union(*maximal)
-    covers = []
-    for x in elements:
+    pairs = []
+    for i, x in enumerate(elements):
         ups = (position.get(x | {v}, -1) for v in vertices - x)
-        covers.extend((x, elements[k]) for k in sorted(ups) if k >= 0)
-    return GradedBoundedPoset(elements, covers)
+        pairs.extend((i, k) for k in sorted(ups) if k >= 0)
+    return GradedBoundedPoset._from_pairs(elements, pairs)
 
 
 # verdicts keyed weakly, so a poset is freed once its last user drops it
@@ -109,9 +108,9 @@ def is_simplicial(poset: GradedBoundedPoset) -> bool:
     r atoms below it, and distinct atom sets on those elements.  Then the
     atom sets below every z fill the subsets of those of z, so x <= z
     exactly when the atom set of x lies in that of z: the order needs no
-    separate check.  Weak down-sets are bitmasks from one transpose of
-    the up-sets and atom sets are down-sets masked by the atoms: O(sum of
-    |down-set|).  The verdict is remembered as long as the poset lives.
+    separate check.  Weak down-sets are bitmasks, one OR per cover, and
+    atom sets are down-sets masked by the atoms: O(sum of |down-set|).
+    The verdict is remembered as long as the poset lives.
     """
     verdict = _SIMPLICIAL.get(poset)
     if verdict is None:
@@ -120,10 +119,13 @@ def is_simplicial(poset: GradedBoundedPoset) -> bool:
 
 
 def _boolean_intervals(poset: GradedBoundedPoset) -> bool:
+    # in topological order every element's down-set is complete before
+    # it passes to the elements covering it
     down = [1 << y for y in range(len(poset))]
-    for x, above in enumerate(poset._up):
-        for y in _bits(above):
-            down[y] |= 1 << x
+    succ = poset._succ
+    for x in poset._topo:
+        for y in succ[x]:
+            down[y] |= down[x]
     levels = poset._levels
     atoms = sum(1 << a for a in levels[1]) if len(levels) > 1 else 0
     for r, level in enumerate(levels):
@@ -159,7 +161,7 @@ def stanley_flag_beta(poset: GradedBoundedPoset, s: Iterable) -> int:
     """
     n = poset.rank
     s = frozenset(s)
-    if any(not isinstance(r, int) or r < 1 or r > n for r in s):
+    if any(type(r) is not int or r < 1 or r > n for r in s):
         raise DomainError("rank subset must lie in 1..%d" % n)
     if not is_simplicial(poset):
         raise DomainError("poset is not simplicial")

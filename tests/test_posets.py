@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from chainpoly import (
+    CoxeterType,
     DomainError,
     FlagVectors,
     GradedBoundedPoset,
@@ -15,15 +16,19 @@ from chainpoly import (
     PosetFileError,
     adjoin_max,
     boolean_lattice,
+    build_reflection_group,
     chain_polynomial,
+    colored_subset_poset,
+    face_poset,
     flag_vectors,
     h_from_f,
     load_poset,
+    noncrossing_lattice,
     order_h_polynomial,
     rank_selected,
     rank_selected_h,
 )
-from oracles import cover_check_pairwise, graded_ranks_pairwise
+from oracles import cover_check_pairwise, graded_ranks_pairwise, subposet_pairwise
 
 
 def brute_chain_polynomial(poset):
@@ -141,6 +146,103 @@ def test_construction_check_matches_pairwise_oracle():
                 key = cls.__name__
             outcomes[key] = outcomes.get(key, 0) + 1
     assert len(outcomes) == 8 and min(outcomes.values()) > 50, outcomes
+
+
+def structure_posets():
+    """Builders, their adjoin_max, copies of both rebuilt from shuffled
+    cover lists, and rank selections of the adjoined Boolean lattice B5."""
+    rng = random.Random(23)
+    out = [
+        noncrossing_lattice(build_reflection_group(CoxeterType(family, k)))
+        for family, ks in (("A", range(1, 6)), ("B", range(2, 5)), ("D", range(3, 5)))
+        for k in ks
+    ]
+    out += [boolean_lattice(n) for n in range(5)] + [colored_subset_poset(3, 2)]
+    out += [adjoin_max(p) for p in out]
+    for p in list(out):
+        covers = list(p.covers)
+        rng.shuffle(covers)
+        out.append(GradedBoundedPoset(p.elements, covers))
+    hat = adjoin_max(boolean_lattice(5))
+    for t in ((), (1,), (5,), (2, 4), (1, 3, 5), (1, 2, 3, 4, 5)):
+        out.append(rank_selected(hat, t))
+    return out
+
+
+def test_proper_part_matches_subposet_oracle():
+    """proper_part restricts the covers; the pairwise subposet gives the
+    same elements and the same covers in the same order."""
+    for p in structure_posets():
+        drop = {
+            ends[0]
+            for ends in (p.minimal_elements(), p.maximal_elements())
+            if len(ends) == 1
+        }
+        want = subposet_pairwise(p, [x for x in p.elements if x not in drop])
+        got = p.proper_part()
+        assert (got.elements, got.covers) == (want.elements, want.covers)
+
+
+def test_index_entry_checked_like_label_front():
+    """Every builder and derived poset equals its rebuild from labels, its
+    covers hold the element objects, and the index entry raises the label
+    constructor's cycle and implied-cover errors."""
+    posets = structure_posets()
+    posets.append(face_poset([("a", "b", "c"), ("b", "c", "d"), ("x", "a", "d")]))
+    posets += [p.proper_part() for p in posets]
+    posets += [p.subposet(p.elements[::2]) for p in posets]
+    for p in posets:
+        q = type(p)(p.elements, p.covers)
+        assert (q._up, q._topo, q._minimal, q.covers) == (p._up, p._topo, p._minimal, p.covers)
+        if isinstance(p, GradedBoundedPoset):
+            assert q._rank == p._rank
+        assert all(p.elements[p.index(x)] is x for pair in p.covers for x in pair)
+    rng = random.Random(29)
+    outcomes = {}
+    for _ in range(2000):
+        elements, covers = random_cover_list(rng)
+        error, _ = cover_check_pairwise(elements, covers)
+        if error is not None and not ("cycle" in error[1] or "implied" in error[1]):
+            continue
+        index = {x: i for i, x in enumerate(elements)}
+        pairs = list(dict.fromkeys((index[x], index[y]) for x, y in covers))
+        for cls in (Poset, GradedBoundedPoset):
+            try:
+                want = cls(elements, covers)
+            except DomainError as exc:
+                with pytest.raises(type(exc)) as got:
+                    cls._from_pairs(elements, pairs)
+                assert str(got.value) == str(exc)
+                key = str(exc).split()[-1]
+            else:
+                got = cls._from_pairs(elements, pairs)
+                assert (got._up, got._topo, got.covers) == (want._up, want._topo, want.covers)
+                key = cls.__name__
+            outcomes[key] = outcomes.get(key, 0) + 1
+    assert outcomes.get("cycle", 0) > 50 and outcomes.get("transitivity", 0) > 50, outcomes
+
+
+def test_derived_posets_build_no_label_index():
+    b3 = boolean_lattice(3)
+    hat = adjoin_max(b3)
+    for p in (b3, hat, hat.proper_part(), rank_selected(hat, {1, 3}), b3.subposet(b3.elements[1:])):
+        assert p.maximal_elements()
+        assert "_index" not in vars(p) and "covers" not in vars(p)
+
+
+def test_rank_sets_reject_bools():
+    # True == 1, but it is no rank
+    hat = adjoin_max(boolean_lattice(3))
+    with pytest.raises(DomainError, match="selected ranks must lie in 1..3"):
+        rank_selected(hat, {True})
+    with pytest.raises(DomainError, match="selected ranks must lie in 1..3"):
+        rank_selected_h(hat, {True, 2})
+    fv = flag_vectors(hat)
+    with pytest.raises(KeyError):
+        fv.alpha({True, 2})
+    with pytest.raises(KeyError):
+        fv.beta({1.0})
+    assert fv.alpha({1, 2}) == 6
 
 
 def test_cycle_rejected():

@@ -270,6 +270,12 @@ def test_stanley_flag_beta_boolean_9():
         assert stanley_flag_beta(p, frozenset(s)) == fv.beta(s), s
 
 
+def test_stanley_flag_beta_rejects_bools():
+    # True == 1, but it is no rank
+    with pytest.raises(DomainError, match="rank subset must lie in 1..3"):
+        stanley_flag_beta(boolean_lattice(3), {True})
+
+
 def test_order_complex_h_from_simplicial_h():
     # h of the full order complex mixes h_k with the first-letter rows
     from chainpoly import ZERO, first_letter_descent_polynomials
