@@ -70,9 +70,13 @@ def parse_descent_set(text: str) -> frozenset:
     out = set()
     for part in s.split(","):
         part = part.strip()
-        if not part.isdecimal() or int(part) < 1:
+        try:
+            pos = int(part) if part.isdecimal() else 0
+        except ValueError:  # past Python's int() digit limit
+            raise DomainError("descent position is too long") from None
+        if pos < 1:
             raise DomainError("bad position %r in descent set" % part)
-        out.add(int(part))
+        out.add(pos)
     return frozenset(out)
 
 

@@ -1,16 +1,17 @@
 """Noncrossing partition lattices of finite reflection groups.
 
 Two independent routes to the same polynomials.  The concrete route
-builds a reflection group of classical type (permutations for type A,
-signed permutations for B, the even-sign subgroup for D), reads every
-absolute length off Carter's lemma, l(w) = codim Fix(w), and generates
-the interval below a fixed Coxeter element upward from the identity as
-a graded bounded poset.  The formula route evaluates closed descent-word
-expressions for the order h-polynomial, with the exceptional types kept
-as a constant table.  The lattice route only scales to small ranks and
-exists chiefly to certify the formula route; everything downstream
-(chain polynomials, symmetric decompositions, unimodality reports) runs
-off the formulas.
+models a reflection group of classical type (permutations for type A,
+signed permutations for B, the even-sign subgroup for D) by its
+reflections and a fixed Coxeter element alone, reads absolute lengths
+off Carter's lemma, l(w) = codim Fix(w), and generates the interval
+below the Coxeter element upward from the identity as a graded bounded
+poset; the whole group is listed only when asked for.  The formula
+route evaluates closed descent-word expressions for the order
+h-polynomial, with the exceptional types kept as a constant table.
+The lattice route only scales to small ranks and exists chiefly to
+certify the formula route; everything downstream (chain polynomials,
+symmetric decompositions, unimodality reports) runs off the formulas.
 
 Group elements are tuples w with w[i-1] = image of i, values in +-[n];
 plain permutations are the all-positive case.
@@ -22,8 +23,8 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate, permutations, product
+from functools import cached_property, lru_cache
+from itertools import accumulate, combinations, permutations, product
 from typing import Optional, Tuple
 
 from .descents import signed_word_descent_enumerator, word_descent_enumerator
@@ -87,12 +88,14 @@ class CoxeterType:
     def parse(cls, text: str) -> "CoxeterType":
         """Parse notation like A4, B3, D5, I2:7, H3, E8."""
         s = text.strip().upper()
-        m = re.fullmatch(r"([ABD])(\d+)", s)
+        m = re.fullmatch(r"([ABD]|I2:)(\d+)", s)
         if m:
-            return cls(m.group(1), int(m.group(2)))
-        m = re.fullmatch(r"I2:(\d+)", s)
-        if m:
-            return cls("I2", int(m.group(1)))
+            family = m.group(1).rstrip(":")
+            try:
+                param = int(m.group(2))
+            except ValueError:  # past Python's int() digit limit
+                raise DomainError("type %s parameter is too long" % family) from None
+            return cls(family, param)
         if s in EXCEPTIONAL_RANK:
             return cls(s)
         raise DomainError(
@@ -113,16 +116,6 @@ def compose(u: Tuple[int, ...], v: Tuple[int, ...]) -> Tuple[int, ...]:
     out = []
     for j in v:
         out.append(u[j - 1] if j > 0 else -u[-j - 1])
-    return tuple(out)
-
-
-def inverse(u: Tuple[int, ...]) -> Tuple[int, ...]:
-    out = [0] * len(u)
-    for i, j in enumerate(u, start=1):
-        if j > 0:
-            out[j - 1] = i
-        else:
-            out[-j - 1] = -i
     return tuple(out)
 
 
@@ -167,18 +160,18 @@ def _absolute_length(w: Tuple[int, ...]) -> int:
 
 @dataclass(frozen=True)
 class ReflectionGroup:
-    """A concrete classical reflection group with its absolute lengths.
+    """A concrete classical reflection group, held as its reflections and
+    the fixed Coxeter element ``gamma``.
 
-    ``lengths`` maps every element to the least number of reflections
-    whose product it is; ``gamma`` is the fixed Coxeter element.
+    ``elements``, the sorted listing of the whole group, is built only
+    when first read; the lattice route reads it only to check an
+    explicit gamma.
     """
 
     coxeter_type: CoxeterType
     degree: int
-    elements: tuple
     reflections: frozenset
     gamma: Tuple[int, ...]
-    lengths: dict
 
     @property
     def rank(self) -> int:
@@ -187,6 +180,19 @@ class ReflectionGroup:
     @property
     def identity(self) -> Tuple[int, ...]:
         return _identity(self.degree)
+
+    @cached_property
+    def elements(self) -> tuple:
+        """Every signed permutation of the family, sorted: no signs for A,
+        any signs for B, an even number of negative entries for D."""
+        n, fam = self.degree, self.coxeter_type.family
+        signs = [(1,) * n] if fam == "A" else product((1, -1), repeat=n)
+        return tuple(sorted(
+            tuple(e * v for e, v in zip(s, w))
+            for s in signs
+            if fam != "D" or s.count(-1) % 2 == 0
+            for w in permutations(range(1, n + 1))
+        ))
 
 
 def build_reflection_group(
@@ -197,11 +203,9 @@ def build_reflection_group(
     Type A rank k is the symmetric group on k+1 letters with the long
     cycle as Coxeter element; types B and D act on signed letters with
     the usual signed cycle and bipartite product respectively.  The
-    elements are listed directly as the signed permutations of the
-    family (no signs for A, any signs for B, an even number of negative
-    entries for D), and every absolute length comes from Carter's
-    lemma, l(w) = codim Fix(w); the reflections are the elements of
-    length one.
+    reflections are listed directly: the transpositions, for B and D
+    also the signed transpositions, and for B the single sign changes.
+    No group element is listed.
     """
     fam = t.family
     if fam not in ("A", "B", "D"):
@@ -229,24 +233,15 @@ def build_reflection_group(
     else:
         gamma = tuple(range(2, n + 1)) + ((1,) if fam == "A" else (-1,))
 
-    signs = [(1,) * n] if fam == "A" else product((1, -1), repeat=n)
-    elements = sorted(
-        tuple(e * v for e, v in zip(s, w))
-        for s in signs
-        if fam != "D" or s.count(-1) % 2 == 0
-        for w in permutations(range(1, n + 1))
-    )
-    lengths = {w: _absolute_length(w) for w in elements}
-    if lengths[gamma] != t.rank:
+    if _absolute_length(gamma) != t.rank:
         raise DomainError("Coxeter element has wrong absolute length")
-    return ReflectionGroup(
-        coxeter_type=t,
-        degree=n,
-        elements=tuple(elements),
-        reflections=frozenset(w for w in elements if lengths[w] == 1),
-        gamma=gamma,
-        lengths=lengths,
-    )
+    pairs = list(combinations(range(1, n + 1), 2))
+    reflections = {_transposition(n, i, j) for i, j in pairs}
+    if fam != "A":
+        reflections.update(_signed_transposition(n, i, j) for i, j in pairs)
+    if fam == "B":  # (i, i) is the sign change of i alone
+        reflections.update(_signed_transposition(n, i, i) for i in range(1, n + 1))
+    return ReflectionGroup(t, n, frozenset(reflections), gamma)
 
 
 def noncrossing_lattice(
@@ -254,32 +249,33 @@ def noncrossing_lattice(
 ) -> GradedBoundedPoset:
     """The interval below a Coxeter element in absolute order.
 
-    Generated upward from the identity: b = a t, for a reflection t,
-    covers a inside the interval exactly when l(b) = l(a) + 1 and
-    l(gamma^-1 b) = l(b^-1 gamma) = rank - l(b).  Elements are sorted and
-    covers ordered by rank, then by their lower and upper ends.
+    Generated upward from the identity, carrying c = a^-1 gamma for each
+    element a of a level: for a reflection t, b = a t covers a inside
+    the interval, with b^-1 gamma = t c, exactly when l(t c) = l(c) - 1,
+    since then l(b) = l(a) + 1 by subadditivity of l.  Those t are the
+    reflections below c in absolute order, and t c is below c, so the
+    reflections tested at b are only those kept at a.  Only the
+    reflections and gamma are read; the group is listed only to check
+    an explicit gamma.  Elements are sorted and covers ordered by rank,
+    then by their lower and upper ends.
     """
     if gamma is None:
         gamma = g.gamma
-    lengths = g.lengths
-    if lengths.get(gamma) != g.rank:
+    elif gamma not in g.elements or _absolute_length(gamma) != g.rank:
         raise DomainError("gamma must be an element of absolute length = rank")
-    gi = inverse(gamma)
-    level = [g.identity]
+    level = {g.identity: (gamma, g.reflections)}
     elements = [g.identity]
     covers = []
-    for ell in range(1, g.rank + 1):
-        uppers = set()
-        for a in level:
-            above = sorted(
-                b
-                for b in (compose(a, t) for t in g.reflections)
-                if lengths[b] == ell
-                and lengths[compose(gi, b)] == g.rank - ell
-            )
-            covers.extend((a, b) for b in above)
+    for length in reversed(range(g.rank)):  # of t c, one level up
+        uppers = {}
+        for a in sorted(level):
+            c, candidates = level[a]
+            kept = {t: compose(t, c) for t in candidates}
+            kept = {t: tc for t, tc in kept.items() if _absolute_length(tc) == length}
+            above = {compose(a, t): (tc, kept) for t, tc in kept.items()}
+            covers.extend((a, b) for b in sorted(above))
             uppers.update(above)
-        level = sorted(uppers)
+        level = uppers
         elements.extend(level)
     elements.sort()
     position = {w: k for k, w in enumerate(elements)}

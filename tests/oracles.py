@@ -4,8 +4,9 @@ The word enumerators list every word and count its descents or ascents
 directly, independent of the transfer recurrences in ``chainpoly.descents``.
 The reflection-group oracles find absolute lengths by breadth-first
 search over the reflection Cayley graph, and noncrossing lattices by
-filtering the whole group and testing every pair of consecutive ranks,
-independent of Carter's formula in ``chainpoly.coxeter``.  The
+filtering the whole group by those lengths and testing every pair of
+consecutive ranks, independent of Carter's formula and of the upward
+walk in ``chainpoly.coxeter``.  The
 simplicial oracle compares the order with atom-set containment on every
 pair below each element, and the subposet oracle finds covers by testing
 every pair of kept elements.  The rank-selection oracle compares every
@@ -43,7 +44,6 @@ from chainpoly.coxeter import (
     _signed_transposition,
     _transposition,
     compose,
-    inverse,
 )
 from chainpoly.errors import DomainError, NotRealRootedError, ResourceLimitError
 from chainpoly.polynomials import ONE, ZERO, Poly
@@ -91,6 +91,17 @@ def signed_word_descent_enumerator_bruteforce(n: int, max_enum: int = 10 ** 6) -
     return Poly(coeffs)
 
 
+def inverse(u: tuple) -> tuple:
+    """The inverse of a signed permutation."""
+    out = [0] * len(u)
+    for i, j in enumerate(u, start=1):
+        if j > 0:
+            out[j - 1] = i
+        else:
+            out[-j - 1] = -i
+    return tuple(out)
+
+
 def _reflections(family: str, n: int) -> list:
     """Every reflection of the type A, B or D group acting on n letters."""
     out = []
@@ -133,14 +144,15 @@ def noncrossing_lattice_pairwise(g, gamma=None) -> GradedBoundedPoset:
     consecutive ranks that differs by a reflection."""
     if gamma is None:
         gamma = g.gamma
+    lengths = absolute_lengths_bfs(g.coxeter_type.family, g.degree)
     nc = [
         a
         for a in g.elements
-        if g.lengths[a] + g.lengths[compose(inverse(a), gamma)] == g.rank
+        if lengths[a] + lengths[compose(inverse(a), gamma)] == g.rank
     ]
     by_rank = {}
     for a in nc:
-        by_rank.setdefault(g.lengths[a], []).append(a)
+        by_rank.setdefault(lengths[a], []).append(a)
     covers = []
     for ell in range(g.rank):
         uppers = by_rank.get(ell + 1, [])
@@ -150,8 +162,8 @@ def noncrossing_lattice_pairwise(g, gamma=None) -> GradedBoundedPoset:
                 if compose(ai, b) in g.reflections:
                     covers.append((a, b))
     out = GradedBoundedPoset(nc, covers)
-    # absolute length, from Carter's lemma, must be the rank the covers give
-    assert all(out.rank_of(a) == g.lengths[a] for a in nc)
+    # absolute length, from the search, must be the rank the covers give
+    assert all(out.rank_of(a) == lengths[a] for a in nc)
     return out
 
 

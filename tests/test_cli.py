@@ -195,6 +195,34 @@ def test_batch_survives_unprintable_result(tmp_path, capsys):
     assert (records[1]["coefficients"], records[1]["exit"]) == ([1, 4, 1], 0)
 
 
+# one digit string past Python's int() limit in each parsed argument
+TOO_LONG = "9" * 5000
+TOO_LONG_ARGV = [
+    (["nc", "A" + TOO_LONG], "error=type A parameter is too long"),
+    (["nc", "I2:" + TOO_LONG], "error=type I2 parameter is too long"),
+    (["ant", "3", TOO_LONG], "error=descent position is too long"),
+    (["poset", SQUARE, "--rank-select", TOO_LONG], "error=descent position is too long"),
+]
+
+
+@pytest.mark.parametrize("argv,error", TOO_LONG_ARGV)
+def test_too_long_integer_exits_2(capsys, argv, error):
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out.splitlines()[-1]) == (2, error)
+
+
+def test_batch_survives_too_long_integer(tmp_path, capsys):
+    batch = tmp_path / "batch.txt"
+    lines = [argv for argv, _ in TOO_LONG_ARGV] + [["ant", "3", "1,2"]]
+    batch.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+    code, out, _ = run_cli(capsys, "--batch", str(batch))
+    assert code == 2
+    records = [json.loads(l) for l in out.strip().splitlines()]
+    assert [r["exit"] for r in records] == [2, 2, 2, 2, 0]
+    assert [r["error"] for r in records[:4]] == [e[6:] for _, e in TOO_LONG_ARGV]
+    assert records[4]["coefficients"] == [1, 4, 1]
+
+
 def test_nc_symdec(capsys):
     code, out, _ = run_cli(capsys, "nc", "E8", "--symdec")
     assert code == 0

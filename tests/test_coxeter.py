@@ -22,11 +22,12 @@ from chainpoly import (
     veronese,
     word_descent_enumerator,
 )
-from chainpoly.coxeter import _absolute_length, _veronese_product
+from chainpoly.coxeter import _absolute_length, _veronese_product, compose
 from oracles import (
     absolute_lengths_bfs,
     exact_div_oracle,
     flag_f_nc_d,
+    inverse,
     noncrossing_lattice_pairwise,
 )
 
@@ -98,20 +99,18 @@ def test_reflection_group_invariants():
         g = build_reflection_group(CoxeterType(fam, p))
         assert len(g.elements) == order, (fam, p)
         assert len(g.reflections) == nrefl, (fam, p)
-        assert g.lengths[g.gamma] == g.rank
+        assert _absolute_length(g.gamma) == g.rank
         for t in g.reflections:
-            assert g.lengths[t] == 1
+            assert _absolute_length(t) == 1
         # reflections are involutions closed under conjugation
-        from chainpoly.coxeter import compose, inverse
-
         for t in g.reflections:
             assert compose(t, t) == g.identity
         for t in g.reflections:
             for s in list(g.reflections)[:4]:
                 assert compose(compose(s, t), inverse(s)) in g.reflections
         # absolute length has the parity of any reflection word
-        for w, l in g.lengths.items():
-            assert 0 <= l <= g.rank
+        for w in g.elements:
+            assert 0 <= _absolute_length(w) <= g.rank
 
 
 @pytest.mark.parametrize("name", SMALL_GROUPS)
@@ -119,7 +118,7 @@ def test_closed_form_length_matches_bfs(name):
     t = CoxeterType.parse(name)
     g = build_reflection_group(t)
     bfs = absolute_lengths_bfs(t.family, g.degree)
-    assert g.lengths == bfs
+    assert {w: _absolute_length(w) for w in g.elements} == bfs
     assert g.elements == tuple(sorted(bfs))
     assert all(_absolute_length(w) == ell for w, ell in bfs.items())
     assert g.reflections == frozenset(w for w, ell in bfs.items() if ell == 1)
@@ -128,7 +127,10 @@ def test_closed_form_length_matches_bfs(name):
 @pytest.mark.parametrize("name", SMALL_GROUPS)
 def test_lattice_matches_pairwise_oracle(name):
     g = build_reflection_group(CoxeterType.parse(name))
-    gammas = [None, (2, 4, 1, 3)] if name == "A3" else [None]
+    # another Coxeter element of A3, and -1 in B3: length 3, not a
+    # Coxeter element, so not every reflection lies below it
+    extra = {"A3": [(2, 4, 1, 3)], "B3": [(-1, -2, -3)]}
+    gammas = [None] + extra.get(name, [])
     for gamma in gammas:
         lat = noncrossing_lattice(g, gamma=gamma)
         ref = noncrossing_lattice_pairwise(g, gamma=gamma)
@@ -137,6 +139,34 @@ def test_lattice_matches_pairwise_oracle(name):
         assert [lat.rank_of(a) for a in lat.elements] == [
             ref.rank_of(a) for a in ref.elements
         ]
+
+
+def test_explicit_gamma_is_checked():
+    a3 = build_reflection_group(CoxeterType("A", 3))
+    d3 = build_reflection_group(CoxeterType("D", 3))
+    # not a permutation; and of length 3 = rank, but with an odd number
+    # of negative entries, so outside W(D3)
+    assert _absolute_length((-1, -2, -3)) == 3
+    for g, gamma in [(a3, (5, 1, 2, 3)), (d3, (-1, -2, -3))]:
+        with pytest.raises(DomainError):
+            noncrossing_lattice(g, gamma=gamma)
+
+
+def test_lattice_route_lists_no_group_element(monkeypatch, capsys):
+    import chainpoly.coxeter as coxeter
+    from chainpoly.cli import main
+
+    def refuse(*args):
+        raise AssertionError("the group was listed")
+
+    monkeypatch.setattr(coxeter, "permutations", refuse)
+    t = CoxeterType("B", 6)
+    lat = noncrossing_lattice(build_reflection_group(t))
+    assert len(lat) == 924
+    assert order_h_polynomial(lat.proper_part()) == nc_h_formula(t)
+    assert chain_polynomial(lat) == nc_chain_polynomial(t)
+    assert main(["nc", "A5", "--oracle"]) == 0
+    assert "oracle=match" in capsys.readouterr().out.splitlines()
 
 
 def test_group_order_cap():
@@ -185,7 +215,7 @@ def test_nc_chain_polynomial_values():
 def test_coxeter_element_choice_does_not_matter():
     g = build_reflection_group(CoxeterType("A", 3))
     other = (2, 4, 1, 3)  # the 4-cycle 1 -> 2 -> 4 -> 3 -> 1
-    assert g.lengths[other] == 3
+    assert _absolute_length(other) == 3
     lat1 = noncrossing_lattice(g)
     lat2 = noncrossing_lattice(g, gamma=other)
     assert chain_polynomial(lat1) == chain_polynomial(lat2)
