@@ -45,8 +45,6 @@ EXCEPTIONAL_H = {
     "E8": (1, 25071, 1295238, 9523785, 17304775, 8733249, 1069289, 17342),
 }
 
-EXCEPTIONAL_RANK = {"H3": 3, "H4": 4, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
-
 
 @dataclass(frozen=True)
 class CoxeterType:
@@ -70,7 +68,7 @@ class CoxeterType:
         elif fam == "I2":
             if not isinstance(p, int) or p < 3:
                 raise DomainError("type I2 needs edge label m >= 3")
-        elif fam in EXCEPTIONAL_RANK:
+        elif fam in EXCEPTIONAL_H:
             if p is not None:
                 raise DomainError("type %s takes no parameter" % fam)
         else:
@@ -82,7 +80,7 @@ class CoxeterType:
             return self.param
         if self.family == "I2":
             return 2
-        return EXCEPTIONAL_RANK[self.family]
+        return len(EXCEPTIONAL_H[self.family])
 
     @classmethod
     def parse(cls, text: str) -> "CoxeterType":
@@ -96,7 +94,7 @@ class CoxeterType:
             except ValueError:  # past Python's int() digit limit
                 raise DomainError("type %s parameter is too long" % family) from None
             return cls(family, param)
-        if s in EXCEPTIONAL_RANK:
+        if s in EXCEPTIONAL_H:
             return cls(s)
         raise DomainError(
             "cannot parse Coxeter type %r (expected e.g. A4, B3, D5, I2:7, H3)"

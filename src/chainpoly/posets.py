@@ -26,6 +26,7 @@ indexed by rank-subset bitmask) and their inclusion-exclusion transform
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -256,21 +257,26 @@ class GradedBoundedPoset(Poset):
 def chain_polynomial(poset: Poset) -> Poly:
     """Sum of x^(number of elements) over all chains of the poset.
 
-    Computed by one pass in reverse topological order: the generating
-    polynomial of chains with fixed minimum e is x * (1 + sum over the
-    strict up-set of e).  Each polynomial is packed into one int with a
-    slot of n+1 bits per coefficient (Kronecker substitution x = 2^(n+1)):
-    a coefficient counts chains of one size among n elements, at most
-    C(n, k) <= 2^n and never negative, so no slot carries into the next
-    and one int addition adds whole polynomials.
+    A pass in topological order finds the size H of a longest chain; a
+    pass in reverse sums the chains with minimum e, x * (1 + sum over the
+    strict up-set of e), as polynomials packed into ints of fixed slots
+    (Kronecker substitution), one int addition adding whole polynomials.
+    The coefficient of x^k counts chains of k among n elements: at most
+    C(n, k), 0 for k > H, and C(n, k) grows up to k = n // 2, so no count
+    fills more than the bits of C(n, min(H, n // 2)).
     """
-    width = len(poset) + 1
-    up = poset._up
-    c = [0] * len(poset)
+    n = len(poset)
+    size = [1] * n
+    for i in poset._topo:
+        for j in poset._succ[i]:
+            if size[j] <= size[i]:
+                size[j] = size[i] + 1
+    width = math.comb(n, min(max(size, default=0), n // 2)).bit_length()
+    c = [0] * n
     total = 1
     for i in reversed(poset._topo):
         acc = 1
-        for j in _bits(up[i]):
+        for j in _bits(poset._up[i]):
             acc += c[j]
         c[i] = acc << width
         total += c[i]
@@ -318,10 +324,10 @@ def adjoin_max(poset: GradedBoundedPoset) -> GradedBoundedPoset:
 def _selection(poset: GradedBoundedPoset, t: Iterable) -> list:
     """The ranks in t, ascending; each must be a proper rank of the poset."""
     n = poset.rank - 1
-    sel = sorted(set(t))
+    sel = set(t)
     if any(type(r) is not int or r < 1 or r > n for r in sel):
         raise DomainError("selected ranks must lie in 1..%d" % max(n, 0))
-    return sel
+    return sorted(sel)
 
 
 def rank_selected(poset: GradedBoundedPoset, t: Iterable) -> GradedBoundedPoset:

@@ -16,6 +16,10 @@ cover-check oracle finds each up-set by depth-first search over the
 cover list and tests every cover against the up-sets of its siblings,
 where the package folds that test into its one up-set pass.
 
+The chain-count oracle counts chains by size with plain ints and the
+order comparison ``less`` on every pair, where the package packs whole
+polynomials into one int and walks up-set bitmasks.
+
 The type-D chain counts come from a composition formula, independent of
 both the lattice and the h-polynomial formula route.
 
@@ -321,6 +325,29 @@ def face_poset_pairwise(facets) -> GradedBoundedPoset:
     # face size must be the rank the covers give
     assert all(out.rank_of(x) == len(x) for x in elements)
     return out
+
+
+def chain_polynomial_pairwise(poset: Poset) -> Poly:
+    """Chains by size: N_k(e) = sum of N_(k-1)(f) over f > e, with N_1 = 1.
+
+    An element has fewer elements above it than any element below it, so
+    ordering by that count puts each f > e before e.
+    """
+    els = poset.elements
+    above = {e: [f for f in els if poset.less(e, f)] for e in els}
+    counts = {}
+    total = [1]
+    for e in sorted(els, key=lambda e: len(above[e])):
+        row = [0, 1]
+        for f in above[e]:
+            row += [0] * (len(counts[f]) + 1 - len(row))
+            for k, count in enumerate(counts[f]):
+                row[k + 1] += count
+        counts[e] = row
+        total += [0] * (len(row) - len(total))
+        for k, count in enumerate(row):
+            total[k] += count
+    return Poly(total)
 
 
 def _compositions(total: int, parts: int):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainpoly import Poly, Poset, chain_polynomial, nc_symdec_report
 from chainpoly.cli import main
 
 SQUARE = str(Path(__file__).parent / "golden" / "square.json")
@@ -106,6 +108,36 @@ def test_nc_oracle_match(capsys):
     code, out, _ = run_cli(capsys, "nc", "A3", "--oracle")
     assert code == 0
     assert "oracle=match" in out.splitlines()
+
+
+def test_nc_oracle_counts_chains_once(capsys, monkeypatch):
+    """The oracle counts the lattice's chains once and builds no proper part."""
+    calls = []
+
+    def counting(poset):
+        calls.append(len(poset))
+        return chain_polynomial(poset)
+
+    def proper_part(self):
+        raise AssertionError("proper part built")
+
+    monkeypatch.setattr("chainpoly.cli.chain_polynomial", counting)
+    monkeypatch.setattr(Poset, "proper_part", proper_part)
+    code, out, _ = run_cli(capsys, "nc", "B4", "--oracle")
+    assert code == 0
+    assert "oracle=match" in out.splitlines()
+    assert calls == [70]  # the whole lattice: the Catalan number of B4
+
+
+def test_nc_oracle_mismatch(capsys, monkeypatch):
+    def report(t):
+        real = nc_symdec_report(t)
+        return dataclasses.replace(real, chain=real.chain + Poly([0, 1]))
+
+    monkeypatch.setattr("chainpoly.cli.nc_symdec_report", report)
+    code, out, _ = run_cli(capsys, "nc", "A3", "--oracle")
+    assert code == 1
+    assert "oracle=mismatch" in out.splitlines()
 
 
 def test_nc_oracle_unavailable(capsys):

@@ -8,9 +8,12 @@ from chainpoly import (
     DomainError,
     Poly,
     ResourceLimitError,
+    adjoin_max,
+    boolean_lattice,
     build_reflection_group,
     chain_polynomial,
     f_from_h,
+    face_poset,
     flag_vectors,
     nc_chain_polynomial,
     nc_h_formula,
@@ -25,6 +28,7 @@ from chainpoly import (
 from chainpoly.coxeter import _absolute_length, _veronese_product, compose
 from oracles import (
     absolute_lengths_bfs,
+    chain_polynomial_pairwise,
     exact_div_oracle,
     flag_f_nc_d,
     inverse,
@@ -43,8 +47,8 @@ def test_parse_and_rank():
     assert CoxeterType.parse("b3") == CoxeterType("B", 3)
     assert CoxeterType.parse("D5").rank == 5
     assert CoxeterType.parse("I2:7").rank == 2
-    assert CoxeterType.parse("H3").rank == 3
-    assert CoxeterType.parse("E8").rank == 8
+    for name, rank in (("H3", 3), ("H4", 4), ("F4", 4), ("E6", 6), ("E7", 7), ("E8", 8)):
+        assert CoxeterType.parse(name).rank == rank
     assert str(CoxeterType.parse("I2:7")) == "I2:7"
     assert str(CoxeterType.parse("F4")) == "F4"
 
@@ -188,6 +192,40 @@ def test_lattice_matches_formula_small():
             # one-element chains: the Catalan number of NC(n+1) elements
             n = t.param + 1
             assert chain_polynomial(lat).coeffs[1] == math.comb(2 * n, n) // (n + 1)
+
+
+@pytest.mark.parametrize("name", SMALL_GROUPS)
+def test_chain_polynomial_matches_pairwise_on_nc(name):
+    lat = noncrossing_lattice(build_reflection_group(CoxeterType.parse(name)))
+    for p in (lat, lat.proper_part()):
+        assert chain_polynomial(p) == chain_polynomial_pairwise(p)
+
+
+def test_chain_factors_through_proper_part():
+    """chain(L) = (1+x)^2 chain(proper part) on a bounded poset with
+    bottom below top: every chain of the proper part extends by either
+    end or both.  The nc oracle compares the lattice count to the formula
+    route's (1+x)^2 f on that identity."""
+    lattices = [
+        noncrossing_lattice(build_reflection_group(CoxeterType.parse(name)))
+        for name in SMALL_GROUPS
+    ]
+    lattices += [boolean_lattice(n) for n in range(1, 6)]
+    lattices += [
+        adjoin_max(face_poset(facets))
+        for facets in (
+            [(1, 2), (1, 3), (2, 3)],
+            [("a", "b", "c"), ("b", "c", "d"), ("x", "a", "d")],
+            [(1, 2, 3, 4)],
+            [(1, 2), (3, 4), (5, 6)],
+        )
+    ]
+    for lat in lattices:
+        proper = chain_polynomial(lat.proper_part())
+        assert chain_polynomial(lat) == Poly([1, 2, 1]) * proper
+    # with bottom equal to top the one element is dropped once: (1+x) * 1
+    assert chain_polynomial(boolean_lattice(0)) == Poly([1, 1])
+    assert len(boolean_lattice(0).proper_part()) == 0
 
 
 def test_lattice_structure():

@@ -28,7 +28,13 @@ from chainpoly import (
     rank_selected,
     rank_selected_h,
 )
-from oracles import cover_check_pairwise, graded_ranks_pairwise, subposet_pairwise
+from oracles import (
+    chain_polynomial_pairwise,
+    cover_check_pairwise,
+    graded_ranks_pairwise,
+    subposet_pairwise,
+)
+from test_simplicial import random_graded_poset
 
 
 def brute_chain_polynomial(poset):
@@ -237,6 +243,11 @@ def test_rank_sets_reject_bools():
         rank_selected(hat, {True})
     with pytest.raises(DomainError, match="selected ranks must lie in 1..3"):
         rank_selected_h(hat, {True, 2})
+    # checked before sorting, so a set no order can sort fails the same way
+    with pytest.raises(DomainError, match="selected ranks must lie in 1..3"):
+        rank_selected(hat, {1, "a"})
+    with pytest.raises(DomainError, match="selected ranks must lie in 1..3"):
+        rank_selected_h(hat, {1, None})
     fv = flag_vectors(hat)
     with pytest.raises(KeyError):
         fv.alpha({True, 2})
@@ -277,8 +288,9 @@ def test_chain_polynomial_matches_bruteforce():
 
 
 def test_chain_polynomial_slot_width():
-    # the packed coefficients use n+1 bits each; a chain of n elements has
-    # C(n, k) chains of size k, together 2^n, right under the slot bound
+    # a slot holds the bits of C(n, min(H, n // 2)) for a longest chain of
+    # size H; the n-element chain sits exactly on that bound, its largest
+    # coefficient C(n, n // 2) filling its slot
     for n in (1, 2, 31, 63, 64, 100):
         chain = Poset(range(n), [(i, i + 1) for i in range(n - 1)])
         f = chain_polynomial(chain)
@@ -286,6 +298,32 @@ def test_chain_polynomial_slot_width():
         assert sum(f.coeffs) == 2 ** n
     for n in (1, 5, 64):
         assert chain_polynomial(Poset(range(n), [])) == Poly([1, n])
+
+
+def antichain_sum(sizes):
+    """Ordinal sum of antichains: every element of a level lies below
+    every element of the next."""
+    levels = [[(k, i) for i in range(a)] for k, a in enumerate(sizes)]
+    covers = [(x, y) for lower, upper in zip(levels, levels[1:]) for x in lower for y in upper]
+    return Poset([x for level in levels for x in level], covers)
+
+
+def test_chain_polynomial_matches_pairwise_oracle():
+    """The packed count equals the plain-int pairwise count on random
+    graded posets and on wide, short ordinal sums of antichains, whose
+    chain polynomial is the product of (1 + a x) over the level sizes a,
+    powers of two among the sizes and products included."""
+    rng = random.Random(16)
+    posets = [random_graded_poset(rng, rank) for rank in (2, 3, 4) for _ in range(20)]
+    for p in posets:
+        assert chain_polynomial(p) == chain_polynomial_pairwise(p)
+    wide = [(1,), (200,), (2, 128), (64, 64), (128, 2, 1), (16, 32, 8, 4), (1, 200, 1)]
+    wide += [[rng.randint(1, 200) for _ in range(rng.randint(1, 3))] for _ in range(8)]
+    for sizes in wide:
+        p = antichain_sum(sizes)
+        f = chain_polynomial(p)
+        assert f == math.prod((Poly([1, a]) for a in sizes), start=Poly([1])), sizes
+        assert f == chain_polynomial_pairwise(p), sizes
 
 
 def test_order_h_polynomial():
