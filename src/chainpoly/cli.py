@@ -56,7 +56,7 @@ from .posets import (
     rank_selected_h,
 )
 from .realroots import interlaces, is_real_rooted
-from .symdecomp import _nonneg_realrooted, symmetric_decomposition
+from .symdecomp import symmetric_decomposition
 
 DEFAULT_MAX_ENUM = 10 ** 7
 
@@ -261,7 +261,7 @@ def cmd_certify(ns, rep: Report) -> int:
         dec = symmetric_decomposition(p, ns.symdec)
         rep.add("symmetric-part", dec.symmetric)
         rep.add("shifted-part", dec.shifted)
-        verdict = _nonneg_realrooted(dec)
+        verdict = dec.nonneg_realrooted()
         rep.add("symdec", verdict)
         holds = holds and verdict
     return 0 if holds else 1
@@ -404,9 +404,10 @@ def run_command(ns) -> tuple:
     start = time.perf_counter()
     try:
         code = COMMANDS[ns.command](ns, rep)
-    except (ResourceLimitError, OverflowError) as exc:
-        # an OverflowError is a size past what Python can index or allocate
-        rep.add("error", str(exc))
+    except (ResourceLimitError, OverflowError, MemoryError) as exc:
+        # an OverflowError or MemoryError is a size past what Python can
+        # index or allocate; a failed allocation carries no message
+        rep.add("error", str(exc) or "out of memory")
         code = 3
     except DomainError as exc:
         rep.add("error", str(exc))

@@ -32,7 +32,7 @@ from .errors import DomainError, ResourceLimitError
 from .polynomials import Poly, f_from_h, unimodal_peaks, veronese
 from .posets import GradedBoundedPoset
 from .realroots import is_real_rooted
-from .symdecomp import _nonneg_realrooted, symmetric_decomposition
+from .symdecomp import symmetric_decomposition
 
 DEFAULT_GROUP_ORDER_CAP = 50000
 
@@ -407,7 +407,7 @@ def nc_symdec_report(t: CoxeterType) -> NCReport:
         chain_real_rooted=is_real_rooted(chain),
         symmetric_part=dec.symmetric,
         shifted_part=dec.shifted,
-        symdec_nonneg_realrooted=_nonneg_realrooted(dec),
+        symdec_nonneg_realrooted=dec.nonneg_realrooted(),
         peaks=peaks,
         expected_peak=expected,
         peak_ok=expected in peaks,

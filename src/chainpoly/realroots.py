@@ -15,10 +15,17 @@ len(m).
 Interlacing p <= q (every root of q weakly separated by a root of p,
 largest root of q outermost) locates no root.  Common roots never break
 a weak alternation, so with g = gcd(p, q) it holds exactly when the
-Cauchy index of (p/g)/(q/g) is deg(q/g) sign(lc(p) lc(q)).  Conventions:
-the zero polynomial interlaces and is interlaced by every real-rooted
-polynomial, and nonzero constants interlace every real-rooted polynomial
-of degree at most one.
+Cauchy index Ind(p/q), which counts only the poles left after
+cancelling g, is deg(q/g) sign(lc(p) lc(q)).  The one remainder
+sequence p, q, ..., g holds both sides: its variations give Ind(q/p),
+its second and last members give deg(q/g), and by Cauchy index
+reciprocity Ind(p/q) + Ind(q/p) is half the change of sign(pq) from -inf
+to +inf, which is sign(lc(p) lc(q)) (deg q - deg p) when
+deg p <= deg q <= deg p + 1 (Basu, Pollack & Roy, Algorithms in Real
+Algebraic Geometry, ch. 2).  Conventions: the zero polynomial
+interlaces and is interlaced by every real-rooted polynomial, and
+nonzero constants interlace every real-rooted polynomial of degree at
+most one.
 """
 
 from __future__ import annotations
@@ -28,13 +35,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import NotRealRootedError
-from .polynomials import (
-    Poly,
-    _exact_quotient,
-    _integer_coeffs,
-    _prem,
-    _remainder_sequence,
-)
+from .polynomials import Poly, _exact_quotient, _integer_coeffs, _remainder_sequence
 
 
 def _sturm(f: list) -> list:
@@ -89,7 +90,6 @@ def is_real_rooted(p: Poly) -> bool:
     return real_rootedness(p).holds
 
 
-@lru_cache(maxsize=None)
 def interlaces(p: Poly, q: Poly) -> bool:
     """Exact decision of the weak root alternation p <= q.
 
@@ -108,20 +108,10 @@ def interlaces(p: Poly, q: Poly) -> bool:
     s, t = p.degree, q.degree
     if not s <= t <= s + 1:
         return False
-    if s == 0:
-        return True
     chain = _remainder_sequence(_integer_coeffs(p), _integer_coeffs(q))
-    # p / g and q / g for g = +-gcd(p, q), primitive by Gauss's lemma; a
-    # common sign flip leaves every variation count below unchanged
-    pg = _exact_quotient(chain[0], chain[-1])
-    qg = _exact_quotient(chain[1], chain[-1])
-    if len(qg) == 1:
-        return True
     sign = 1 if (p.leading_coefficient > 0) == (q.leading_coefficient > 0) else -1
-    if len(pg) == len(qg):
-        pg = _prem(pg, qg)  # the polynomial part has no poles
-    vneg, vpos = _variations(_remainder_sequence(qg, pg))
-    return vneg - vpos == (len(qg) - 1) * sign
+    vneg, vpos = _variations(chain)  # Ind(q/p) = vneg - vpos
+    return sign * (t - s) - (vneg - vpos) == (len(chain[1]) - len(chain[-1])) * sign
 
 
 def is_interlacing_sequence(ps: Sequence[Poly]) -> bool:

@@ -30,6 +30,15 @@ class SymmetricDecomposition:
     def recombine(self) -> Poly:
         return self.symmetric + Poly([0, 1]) * self.shifted
 
+    def nonneg_realrooted(self) -> bool:
+        """Whether both parts are nonnegative and real-rooted."""
+        return (
+            has_nonneg_coeffs(self.symmetric)
+            and has_nonneg_coeffs(self.shifted)
+            and is_real_rooted(self.symmetric)
+            and is_real_rooted(self.shifted)
+        )
+
 
 def symmetric_decomposition(p: Poly, n: int) -> SymmetricDecomposition:
     """Split p = a + x*b with a symmetric about n/2, b about (n-1)/2."""
@@ -53,15 +62,4 @@ def symmetric_decomposition(p: Poly, n: int) -> SymmetricDecomposition:
 def has_nonneg_realrooted_symdec(p: Poly, n: int) -> bool:
     """Whether both parts of the decomposition are nonnegative and
     real-rooted.  The zero polynomial qualifies trivially."""
-    return _nonneg_realrooted(symmetric_decomposition(p, n))
-
-
-def _nonneg_realrooted(dec: SymmetricDecomposition) -> bool:
-    """The verdict of has_nonneg_realrooted_symdec on a decomposition
-    already in hand."""
-    return (
-        has_nonneg_coeffs(dec.symmetric)
-        and has_nonneg_coeffs(dec.shifted)
-        and is_real_rooted(dec.symmetric)
-        and is_real_rooted(dec.shifted)
-    )
+    return symmetric_decomposition(p, n).nonneg_realrooted()

@@ -27,7 +27,11 @@ The remainder-sequence oracles are the certify layer's earlier route over
 ``Poly`` with ``Fraction`` contents: a pseudo-remainder that rescales by
 the lead at every nonzero step, a ``Poly`` and a primitive part for every
 chain member, and exact division by long division over Q.  The package
-runs the same mathematics on integer coefficient lists.
+runs the same mathematics on integer coefficient lists.  The interlacing
+oracle divides p and q by their gcd g and reads Ind((p/g)/(q/g)) off a
+second remainder sequence, where the package reads Ind(q/p) off the
+sequence of p and q and turns it into Ind(p/q) by Cauchy index
+reciprocity.
 
 The Wronskian oracle decides interlacing in one direction or the other
 without ``interlaces``.  The Wronskian w = p'q - pq' changes sign exactly

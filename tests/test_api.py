@@ -1,7 +1,9 @@
 """The public API, pinned: adding, removing or renaming an exported name
 shows up as an edit to this list."""
 
+import importlib
 import inspect
+import pkgutil
 
 import chainpoly
 
@@ -86,3 +88,24 @@ def test_poset_constructors_take_elements_and_covers():
     # every poset is checked at construction; no argument turns that off
     for cls in (chainpoly.Poset, chainpoly.GradedBoundedPoset):
         assert list(inspect.signature(cls).parameters) == ["elements", "covers"]
+
+
+# every functools memo in the package, so that a new one is a visible change
+MEMOS = [
+    "chainpoly.coxeter.nc_h_formula",
+    "chainpoly.descents._colored_descent_distribution",
+    "chainpoly.descents._first_letter_rows",
+    "chainpoly.realroots.real_rootedness",
+]
+
+
+def test_memos_are_pinned():
+    found = set()
+    for info in pkgutil.iter_modules(chainpoly.__path__):
+        module = importlib.import_module("chainpoly." + info.name)
+        for obj in vars(module).values():
+            members = vars(obj).values() if inspect.isclass(obj) else [obj]
+            for fn in members:
+                if hasattr(fn, "cache_info") and fn.__module__ == module.__name__:
+                    found.add("%s.%s" % (fn.__module__, fn.__qualname__))
+    assert sorted(found) == MEMOS

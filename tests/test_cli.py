@@ -202,6 +202,30 @@ def test_batch_survives_overflow(tmp_path, capsys):
     assert records[5]["coefficients"] == [1, 28, 21]
 
 
+# 8e15 bytes of coefficient slots: past any 47-bit address space, so the
+# allocation fails at once
+OUT_OF_MEMORY = ["certify", "1,2,1", "--symdec", "1000000000000000"]
+
+
+def test_memory_error_exits_3(capsys):
+    code, out, err = run_cli(capsys, *OUT_OF_MEMORY)
+    assert code == 3
+    assert out.splitlines()[-1] == "error=out of memory"
+    assert "Traceback" not in out + err
+
+
+def test_batch_survives_memory_error(tmp_path, capsys):
+    batch = tmp_path / "batch.txt"
+    batch.write_text("\n".join(json.dumps(line) for line in [
+        OUT_OF_MEMORY, ["ant", "3", "1,2"],
+    ]) + "\n")
+    code, out, _ = run_cli(capsys, "--batch", str(batch))
+    assert code == 3
+    records = [json.loads(l) for l in out.strip().splitlines()]
+    assert (records[0]["error"], records[0]["exit"]) == ("out of memory", 3)
+    assert (records[1]["coefficients"], records[1]["exit"]) == ([1, 4, 1], 0)
+
+
 # the shifted part sums the coefficients: one digit past what str() prints
 HUGE = "9" * 4300
 UNPRINTABLE_RESULT = ["certify", ",".join([HUGE] * 4 + ["0", "0"]), "--symdec", "5"]

@@ -92,6 +92,35 @@ def test_interlaces_conventions():
     assert interlaces(Poly([0, 1]), Poly([0, 1, 1]))
 
 
+def test_interlaces_reads_one_remainder_sequence(monkeypatch):
+    import chainpoly.realroots as realroots
+
+    # fresh pairs with a shared root, equal degrees and a degree gap
+    pairs = [
+        (linear_product([2, 3, 8, 10]), linear_product([1, 3, 7, 9, 11])),
+        (linear_product([2, 5, 9]), linear_product([1, 4, 9])),
+        (Poly([-31]), linear_product([17])),
+    ]
+    for p, q in pairs:
+        assert is_real_rooted(p) and is_real_rooted(q)
+    calls = []
+    real = realroots._remainder_sequence
+
+    def counted(f0, f1):
+        calls.append((f0, f1))
+        return real(f0, f1)
+
+    def forbidden(a, b):
+        raise AssertionError("interlaces divided exactly")
+
+    monkeypatch.setattr(realroots, "_remainder_sequence", counted)
+    monkeypatch.setattr(realroots, "_exact_quotient", forbidden)
+    for p, q in pairs:
+        calls.clear()
+        assert interlaces(p, q)
+        assert calls == [(list(p.coeffs), list(q.coeffs))]
+
+
 def test_interlaces_requires_real_rootedness():
     with pytest.raises(NotRealRootedError):
         interlaces(Poly([1, 0, 1]), Poly([1, 1]))
