@@ -11,8 +11,14 @@ family used by the type-D noncrossing lattice have fast recurrences too;
 their enumerations are used only by the tests and live in
 ``tests/oracles.py``, so every fast path has an independent count to
 test against.  All four fast recurrences are one transfer step,
-``_transfer``, on plain integer coefficient lists; ``Poly`` objects
-appear only in what the public functions return.  A determinant formula
+``_transfer``, on polynomials packed into ints (Kronecker substitution):
+each coefficient sits in a slot of fixed width, so multiplying by x is
+a shift and adding two polynomials is one int addition.  Each recurrence
+sizes its slots from a proved bound on every coefficient it forms:
+(n+1)! for the first-letter rows, r^n for words and 2(n-1)^n for signed
+words, taken from bit lengths without forming the bound itself.  Rows
+are unpacked into coefficients, and ``Poly`` objects built, only where
+a result leaves the recurrence.  A determinant formula
 (an O(r^2) Hessenberg recurrence in integers) and the exact mean and
 variance of the descent statistic round out the module.  All arithmetic
 is exact.
@@ -24,7 +30,8 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
+from operator import sub
 from typing import Iterable
 
 from .errors import DomainError, ResourceLimitError
@@ -37,7 +44,8 @@ def _position_set(allowed: Iterable, n: int) -> frozenset:
     """Normalize a position set to its meaningful part inside 1..n."""
     out = set()
     for a in allowed:
-        if not isinstance(a, int) or a < 1:
+        # True == 1, but it is no position
+        if type(a) is not int or a < 1:
             raise DomainError("descent positions must be positive integers")
         if a <= n:
             out.add(a)
@@ -48,50 +56,74 @@ def _position_set(allowed: Iterable, n: int) -> frozenset:
 _ZERO, _ONE, _X = None, 0, 1
 
 
-def _transfer(row: list, head, tail) -> list:
+def _slot_width(n: int, r: int) -> int:
+    """Bits of a slot that holds every integer from 0 to 2 r^n.
+
+    With b the bit length of r, r < 2^b and so 2 r^n < 2^(nb + 1).  Only
+    bit lengths are formed, never r^n: on a huge r the caller's list of
+    r entries must be what fails, and at once.
+    """
+    return n * r.bit_length() + 1
+
+
+def _transfer(row: list, head, tail, width: int) -> list:
     """One step of every descent recurrence in this module.
 
     Returns out[k] = A * sum(row[:k]) + B * sum(row[k:]) for k = 0..len(row),
     with A = x^head, B = x^tail and None standing for the weight 0; the
-    pairs (A, B) used are (x, 1), (1, x) and (0, 1).  The entries of
-    ``row`` are integer coefficient lists of one common length, and so are
-    those of the result.  Since out[k+1] - out[k] = (A - B) * row[k], each
-    entry costs one pass over a coefficient list.
+    pairs (A, B) used are (x, 1), (1, x) and (0, 1).  Each entry of
+    ``row`` and of the result is a polynomial packed into one int, its
+    coefficients in slots of ``width`` bits, so multiplying by x is a
+    shift by ``width``.  Since out[k+1] - out[k] = (A - B) * row[k], each
+    entry costs one shift and two int additions or subtractions, whatever
+    its degree.
+
+    Packing is evaluation at 2^width, a ring homomorphism, so each int
+    computed equals the packed form of the polynomial it stands for.  The
+    caller proves that every coefficient of every entry lies in
+    [0, 2^width); then ``_unpack`` reads each coefficient back exactly.
     """
-    width = len(row[0]) + (_X in (head, tail))
-
-    def pads(e):
-        return [0] * e, [0] * (width - len(row[0]) - e)
-
-    tl, tr = pads(tail)
-    cur = tl + [sum(col) for col in zip(*row)] + tr
-    out = [cur]
+    cur = sum(row) << (width * tail)
     if head is _ZERO:
-        # (0, 1): the suffix sums, at the row's own width
-        for p in row:
-            cur = [c - v for c, v in zip(cur, p)]
-            out.append(cur)
-    else:
-        hl, hr = pads(head)
-        for p in row:
-            cur = [c + u - v for c, u, v in zip(cur, hl + p + hr, tl + p + tr)]
-            out.append(cur)
-    return out
+        # (0, 1): the suffix sums
+        return list(accumulate(row, sub, initial=cur))
+    a, b = width * head, width * tail
+    return list(accumulate(((p << a) - (p << b) for p in row), initial=cur))
 
 
-@lru_cache(maxsize=None)
-def _first_letter_rows(n: int, allowed: frozenset) -> tuple:
-    """The first-letter row as integer coefficient tuples of one length."""
-    if not isinstance(n, int) or n < 0:
-        raise DomainError("n must be a nonnegative integer")
-    allowed = _position_set(allowed, n)
-    row = [[1]]
+def _unpack(v: int, width: int, length: int) -> list:
+    """The lowest ``length`` slots of a packed polynomial, lowest first."""
+    mask = (1 << width) - 1
+    return [(v >> (width * i)) & mask for i in range(length)]
+
+
+def _packed_first_letter_row(n: int, allowed: frozenset) -> tuple:
+    """The first-letter row packed, and the slot width.
+
+    An entry counts permutations of at most n+1 letters, and so does the
+    sum of the row, so no coefficient exceeds (n+1)! <= (n+1)^n: that
+    bounds the slots.
+    """
+    width = _slot_width(n, n + 1)
+    row = [1]
     for m in range(1, n + 1):
         # positions relevant at length m are the original ones shifted
         # down by n - m
         head = _X if 1 + n - m in allowed else _ZERO
-        row = _transfer(row, head, _ONE)
-    return tuple(map(tuple, row))
+        row = _transfer(row, head, _ONE, width)
+    return row, width
+
+
+@lru_cache(maxsize=None)
+def _first_letter_rows(n: int, allowed: frozenset) -> tuple:
+    """The first-letter row as integer coefficient tuples of one length.
+
+    ``allowed`` must lie inside 1..n already: the callers check it, before
+    the memo, which would take True for 1.
+    """
+    row, width = _packed_first_letter_row(n, allowed)
+    # one slot more for each step that multiplies by x
+    return tuple(tuple(_unpack(p, width, 1 + len(allowed))) for p in row)
 
 
 def first_letter_descent_polynomials(n: int, allowed: frozenset) -> tuple:
@@ -103,7 +135,9 @@ def first_letter_descent_polynomials(n: int, allowed: frozenset) -> tuple:
     the tail sums of the previous row; when 1 is allowed, the head sums
     enter multiplied by x.
     """
-    return tuple(Poly(p) for p in _first_letter_rows(n, frozenset(allowed)))
+    if type(n) is not int or n < 0:
+        raise DomainError("n must be a nonnegative integer")
+    return tuple(Poly(p) for p in _first_letter_rows(n, _position_set(allowed, n)))
 
 
 def descent_enumerator(n: int, allowed: Iterable) -> Poly:
@@ -112,12 +146,14 @@ def descent_enumerator(n: int, allowed: Iterable) -> Poly:
     Agrees with colored_descent_enumerator_bruteforce at one color
     wherever the latter can run, but has no factorial blowup.
     """
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise DomainError("n must be a nonnegative integer")
+    t = _position_set(allowed, n)
     if n == 0:
         return ONE
-    row = _first_letter_rows(n - 1, frozenset(allowed))
-    return Poly([sum(col) for col in zip(*row)])
+    # the row sums to n! permutations, within its slots
+    row, width = _packed_first_letter_row(n - 1, t)
+    return Poly(_unpack(sum(row), width, n))
 
 
 def colored_descent_enumerator(n: int, r: int, allowed: Iterable) -> Poly:
@@ -130,7 +166,7 @@ def colored_descent_enumerator(n: int, r: int, allowed: Iterable) -> Poly:
     of the first-letter row at the reflected position set
     {n+1-i : i in allowed}.  The brute-force companion checks this.
     """
-    if not isinstance(n, int) or n < 0 or not isinstance(r, int) or r < 1:
+    if type(n) is not int or n < 0 or type(r) is not int or r < 1:
         raise DomainError("need n >= 0 and r >= 1")
     t = _position_set(allowed, n)
     reflected = frozenset(n + 1 - a for a in t)
@@ -184,7 +220,7 @@ def colored_descent_enumerator_bruteforce(
     """The same enumerator by counting all n! * r^n colored permutations,
     capped by ``max_enum``.  At r = 1 it is the plain restricted descent
     enumerator: the last position never descends."""
-    if not isinstance(n, int) or n < 0 or not isinstance(r, int) or r < 1:
+    if type(n) is not int or n < 0 or type(r) is not int or r < 1:
         raise DomainError("need n >= 0 and r >= 1")
     if math.factorial(n) * r ** n > max_enum:
         raise ResourceLimitError(
@@ -205,39 +241,49 @@ def colored_descent_enumerator_bruteforce(
 def word_descent_enumerator(n: int, r: int) -> Poly:
     """Sum of x^des over all words in [r]^n, descents weak (>=).
 
-    Dynamic program on the last letter; no enumeration cap needed.
+    Dynamic program on the last letter; no enumeration cap needed.  The
+    r^n words bound every coefficient.
     """
-    if not isinstance(n, int) or n < 0 or not isinstance(r, int) or r < 1:
+    if type(n) is not int or n < 0 or type(r) is not int or r < 1:
         raise DomainError("need n >= 0 and r >= 1")
     if n == 0:
         return ONE
-    state = [[1]] * r
+    width = _slot_width(n, r)
+    state = [1] * r
     for _ in range(n - 1):
-        state = _transfer(state, _ONE, _X)[:r]
-    return Poly([sum(col) for col in zip(*state)])
+        state = _transfer(state, _ONE, _X, width)[:r]
+    return Poly(_unpack(sum(state), width, n))
 
 
 def word_ascent_enumerator(n: int, r: int) -> Poly:
     """Sum of x^asc over words w(0) w(1) ... w(n) in [r] with w(0) = 1,
-    ascents strict (<), counted at positions 1..n."""
-    if not isinstance(n, int) or n < 0 or not isinstance(r, int) or r < 1:
+    ascents strict (<), counted at positions 1..n.  The r^n words bound
+    every coefficient."""
+    if type(n) is not int or n < 0 or type(r) is not int or r < 1:
         raise DomainError("need n >= 0 and r >= 1")
-    state = [[1]] + [[0]] * (r - 1)
+    width = _slot_width(n, r)
+    state = [1] + [0] * (r - 1)
     for _ in range(n):
-        state = _transfer(state, _X, _ONE)[:r]
-    return Poly([sum(col) for col in zip(*state)])
+        state = _transfer(state, _X, _ONE, width)[:r]
+    return Poly(_unpack(sum(state), width, n + 1))
 
 
-def _signed_columns(n: int, k: int) -> list:
-    """signed_word_columns as integer coefficient lists of one length."""
-    if not isinstance(n, int) or n < 2:
+def _signed_columns(n: int, k: int) -> tuple:
+    """signed_word_columns packed, and the slot width.
+
+    At x = 1 the n-1 columns at k add up to 2(n-1)^k, and each column at
+    k+1 takes that whole total, so no coefficient up to k = n+1 exceeds
+    2(n-1)^n: that bounds the slots.
+    """
+    if type(n) is not int or n < 2:
         raise DomainError("signed words need n >= 2")
-    if not isinstance(k, int) or not 2 <= k <= n + 1:
+    if type(k) is not int or not 2 <= k <= n + 1:
         raise DomainError("column index k must lie in 2..n+1")
-    cols = [[2 * j - 1, 2 * n - 2 * j - 1] for j in range(1, n)]
+    width = _slot_width(n, n - 1)
+    cols = [2 * j - 1 + ((2 * n - 2 * j - 1) << width) for j in range(1, n)]
     for _ in range(k - 2):
-        cols = _transfer(cols, _ONE, _X)[: n - 1]
-    return cols
+        cols = _transfer(cols, _ONE, _X, width)[: n - 1]
+    return cols, width
 
 
 def signed_word_columns(n: int, k: int) -> tuple:
@@ -248,17 +294,19 @@ def signed_word_columns(n: int, k: int) -> tuple:
     takes head sums plus x times tail sums; at k = n+1 only j = 1 remains
     meaningful and equals x times the full enumerator.
     """
-    return tuple(Poly(c) for c in _signed_columns(n, k))
+    cols, width = _signed_columns(n, k)
+    return tuple(Poly(_unpack(c, width, k)) for c in cols)
 
 
 def signed_word_descent_enumerator(n: int) -> Poly:
     """Descent enumerator of signed words: first letter in +-[n-1], the
     rest in [n-1]; position 1 descends when |w(1)| > w(2) or the letters
     are equal and positive, later positions descend weakly."""
-    if not isinstance(n, int) or n < 2:
+    if type(n) is not int or n < 2:
         raise DomainError("signed words need n >= 2")
     # the top column is x times the enumerator: drop its zero constant
-    return Poly(_signed_columns(n, n + 1)[0][1:])
+    cols, width = _signed_columns(n, n + 1)
+    return Poly(_unpack(cols[0] >> width, width, n))
 
 
 def _binom(a: int, b: int) -> int:
@@ -281,7 +329,7 @@ def determinant_descent_enumerator(n: int, allowed: Iterable) -> Poly:
     polynomials.  At n = 0 the recurrence gives 1, as the direct
     enumerator does.
     """
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise DomainError("n must be a nonnegative integer")
     t = sorted(_position_set(allowed, n - 1))
     a = [0] + t + [n]
@@ -305,7 +353,7 @@ def expected_descents(n: int, allowed: Iterable) -> Fraction:
     the mean is r minus the sum of reciprocal binomials
     C(c_i + c_(i+1), c_i).
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise DomainError("n must be a positive integer")
     t = sorted(_position_set(allowed, n - 1))
     a = [0] + t + [n]

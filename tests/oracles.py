@@ -2,6 +2,10 @@
 
 The word enumerators list every word and count its descents or ascents
 directly, independent of the transfer recurrences in ``chainpoly.descents``.
+The recurrences themselves have a list route here: the transfer step on
+plain coefficient lists, one pass over a list per entry, where the
+package packs each entry into one int and shifts and adds whole
+polynomials.
 The reflection-group oracles find absolute lengths by breadth-first
 search over the reflection Cayley graph, and noncrossing lattices by
 filtering the whole group by those lengths and testing every pair of
@@ -97,6 +101,74 @@ def signed_word_descent_enumerator_bruteforce(n: int, max_enum: int = 10 ** 6) -
                     des += 1
             coeffs[des] += 1
     return Poly(coeffs)
+
+
+def transfer_oracle(row: list, head, tail) -> list:
+    """The descent recurrences' transfer step on coefficient lists.
+
+    Returns out[k] = A * sum(row[:k]) + B * sum(row[k:]) for k = 0..len(row),
+    with A = x^head, B = x^tail and None standing for the weight 0.  The
+    entries of ``row`` are integer coefficient lists of one common length,
+    and so are those of the result.
+    """
+    width = len(row[0]) + (1 in (head, tail))
+
+    def pads(e):
+        return [0] * e, [0] * (width - len(row[0]) - e)
+
+    tl, tr = pads(tail)
+    cur = tl + [sum(col) for col in zip(*row)] + tr
+    out = [cur]
+    if head is None:
+        # (0, 1): the suffix sums, at the row's own width
+        for p in row:
+            cur = [c - v for c, v in zip(cur, p)]
+            out.append(cur)
+    else:
+        hl, hr = pads(head)
+        for p in row:
+            cur = [c + u - v for c, u, v in zip(cur, hl + p + hr, tl + p + tr)]
+            out.append(cur)
+    return out
+
+
+def first_letter_rows_oracle(n: int, allowed) -> tuple:
+    allowed = frozenset(a for a in allowed if a <= n)
+    row = [[1]]
+    for m in range(1, n + 1):
+        head = 1 if 1 + n - m in allowed else None
+        row = transfer_oracle(row, head, 0)
+    return tuple(map(tuple, row))
+
+
+def colored_descent_enumerator_oracle(n: int, r: int, allowed) -> Poly:
+    reflected = frozenset(n + 1 - a for a in allowed if a <= n)
+    row = first_letter_rows_oracle(n, reflected)
+    weights = [math.comb(n, k) * (r - 1) ** k for k in range(n + 1)]
+    return Poly([sum(w * c for w, c in zip(weights, col)) for col in zip(*row)])
+
+
+def word_descent_enumerator_oracle(n: int, r: int) -> Poly:
+    if n == 0:
+        return ONE
+    state = [[1]] * r
+    for _ in range(n - 1):
+        state = transfer_oracle(state, 0, 1)[:r]
+    return Poly([sum(col) for col in zip(*state)])
+
+
+def word_ascent_enumerator_oracle(n: int, r: int) -> Poly:
+    state = [[1]] + [[0]] * (r - 1)
+    for _ in range(n):
+        state = transfer_oracle(state, 1, 0)[:r]
+    return Poly([sum(col) for col in zip(*state)])
+
+
+def signed_word_columns_oracle(n: int, k: int) -> tuple:
+    cols = [[2 * j - 1, 2 * n - 2 * j - 1] for j in range(1, n)]
+    for _ in range(k - 2):
+        cols = transfer_oracle(cols, 0, 1)[: n - 1]
+    return tuple(Poly(c) for c in cols)
 
 
 def inverse(u: tuple) -> tuple:

@@ -26,10 +26,17 @@ from chainpoly import (
     word_ascent_enumerator,
     word_descent_enumerator,
 )
+from chainpoly.descents import _ONE, _X, _ZERO, _transfer, _unpack
 from oracles import (
+    colored_descent_enumerator_oracle,
+    first_letter_rows_oracle,
+    signed_word_columns_oracle,
     signed_word_descent_enumerator_bruteforce,
+    transfer_oracle,
     word_ascent_enumerator_bruteforce,
+    word_ascent_enumerator_oracle,
     word_descent_enumerator_bruteforce,
+    word_descent_enumerator_oracle,
 )
 
 
@@ -86,6 +93,95 @@ def test_position_conventions():
         descent_enumerator(3, frozenset({-2}))
     with pytest.raises(DomainError):
         descent_enumerator(-1, frozenset())
+
+
+def test_descents_reject_bools():
+    # True == 1, but it is neither a position nor a size
+    for call in (
+        lambda: descent_enumerator(3, {True}),
+        lambda: descent_enumerator(0, {True}),
+        lambda: first_letter_descent_polynomials(2, {True}),
+        lambda: colored_descent_enumerator(3, 2, {True}),
+        lambda: colored_descent_enumerator_bruteforce(3, 2, {True}),
+        lambda: determinant_descent_enumerator(3, {True}),
+        lambda: expected_descents(3, {True}),
+    ):
+        with pytest.raises(DomainError, match="descent positions must be positive integers"):
+            call()
+    for call in (
+        lambda: descent_enumerator(True, set()),
+        lambda: first_letter_descent_polynomials(True, set()),
+        lambda: colored_descent_enumerator(True, 2, set()),
+        lambda: colored_descent_enumerator(2, True, set()),
+        lambda: colored_descent_enumerator_bruteforce(2, True, set()),
+        lambda: word_descent_enumerator(True, 2),
+        lambda: word_descent_enumerator(2, True),
+        lambda: word_ascent_enumerator(True, 2),
+        lambda: word_ascent_enumerator(2, True),
+        lambda: determinant_descent_enumerator(True, set()),
+        lambda: expected_descents(True, set()),
+    ):
+        with pytest.raises(DomainError):
+            call()
+    # the memo holds the row of (1, {1}), and True must not reach it
+    assert first_letter_descent_polynomials(1, {1}) == (Poly([1]), Poly([0, 1]))
+    with pytest.raises(DomainError):
+        first_letter_descent_polynomials(True, {1})
+    with pytest.raises(DomainError):
+        first_letter_descent_polynomials(1, {True})
+
+
+def pack(coeffs, width):
+    return sum(c << (width * i) for i, c in enumerate(coeffs))
+
+
+@given(st.sampled_from([(_X, _ONE), (_ONE, _X), (_ZERO, _ONE)]), st.integers(1, 5), st.data())
+@settings(max_examples=300, deadline=None)
+def test_packed_transfer_matches_list_route(weights, length, data):
+    entry = st.lists(st.integers(0, 2 ** 80), min_size=length, max_size=length)
+    row = data.draw(st.lists(entry, min_size=1, max_size=8))
+    head, tail = weights
+    want = transfer_oracle(row, head, tail)
+    # no output coefficient exceeds the sum of all input coefficients
+    width = max(1, sum(map(sum, row)).bit_length())
+    got = _transfer([pack(p, width) for p in row], head, tail, width)
+    assert [_unpack(v, width, len(want[0])) for v in got] == want
+
+
+def test_descent_enumerator_past_256_bits():
+    # the slots hold coefficients far past any machine word
+    for n in (40, 60):
+        for t in (
+            frozenset(range(1, n)),
+            frozenset(range(1, n, 2)),
+            frozenset(range(1, n)) - {3, 17, 31},
+        ):
+            fast = descent_enumerator(n, t)
+            assert fast == determinant_descent_enumerator(n, t), (n, sorted(t))
+            assert first_letter_descent_polynomials(n, t) == tuple(
+                Poly(p) for p in first_letter_rows_oracle(n, t)
+            ), (n, sorted(t))
+    assert max(descent_enumerator(60, range(1, 60)).coeffs).bit_length() > 256
+
+
+@pytest.mark.parametrize("r", [100, 1000])
+def test_packed_enumerators_match_list_route(r):
+    n = 60
+    assert word_descent_enumerator(n, r) == word_descent_enumerator_oracle(n, r)
+    assert word_ascent_enumerator(n, r) == word_ascent_enumerator_oracle(n, r)
+    for t in (frozenset(range(1, n + 1)), frozenset(range(2, n, 3))):
+        colored = colored_descent_enumerator(n, r, t)
+        assert colored == colored_descent_enumerator_oracle(n, r, t), sorted(t)
+    assert max(colored.coeffs).bit_length() > 256
+
+
+def test_packed_signed_columns_match_list_route():
+    n = 60
+    for k in (2, 3, 31, n, n + 1):
+        assert signed_word_columns(n, k) == signed_word_columns_oracle(n, k), k
+    top = signed_word_columns_oracle(n, n + 1)[0]
+    assert signed_word_descent_enumerator(n) == Poly(top.coeffs[1:])
+    assert max(top.coeffs).bit_length() > 256
 
 
 def test_first_letter_row_small():

@@ -171,10 +171,13 @@ def test_face_poset_covers_ignore_hash_seed():
         "facets = [('a', 'b', 'c'), ('b', 'c', 'd'), ('c', 'd', 'e'), ('x', 'a', 'd')]\n"
         "print([(sorted(x), sorted(y)) for x, y in face_poset(facets).covers])\n"
     )
+    # the child finds this checkout's package whatever PYTHONPATH held
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outs = [
         subprocess.run(
             [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONHASHSEED": seed},
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
             capture_output=True, text=True, check=True,
         ).stdout
         for seed in ("0", "1")
