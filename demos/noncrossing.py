@@ -12,11 +12,13 @@ from chainpoly import (
     CoxeterType,
     build_reflection_group,
     chain_polynomial,
+    is_real_rooted,
     nc_chain_polynomial,
     nc_h_formula,
-    nc_symdec_report,
     noncrossing_lattice,
     order_h_polynomial,
+    symmetric_decomposition,
+    unimodal_peaks,
 )
 
 # Formula values for a few types.
@@ -36,13 +38,16 @@ print("h from the formula: ", nc_h_formula(t).coeffs)
 print("chain polynomial:   ", chain_polynomial(lattice).coeffs)
 print("chain by formula:   ", nc_chain_polynomial(t).coeffs)
 
-# The certification report: real-rootedness of h and the chain
-# polynomial, the symmetric decomposition and the peak location.
-rep = nc_symdec_report(CoxeterType.parse("E8"))
+# Certifying the formulas: real-rootedness of h and the chain
+# polynomial, the symmetric decomposition of h with respect to rank - 1
+# and the peak location.
+t = CoxeterType.parse("E8")
+h = nc_h_formula(t)
+dec = symmetric_decomposition(h, t.rank - 1)
 print("\nE8 report")
-print("h real-rooted:        ", rep.h_real_rooted)
-print("chain real-rooted:    ", rep.chain_real_rooted)
-print("symmetric part:       ", rep.symmetric_part.coeffs)
-print("shifted part:         ", rep.shifted_part.coeffs)
-print("decomposition accepted:", rep.symdec_nonneg_realrooted)
-print("peaks at:             ", rep.peaks, "expected:", rep.expected_peak)
+print("h real-rooted:        ", is_real_rooted(h))
+print("chain real-rooted:    ", is_real_rooted(nc_chain_polynomial(t)))
+print("symmetric part:       ", dec.symmetric.coeffs)
+print("shifted part:         ", dec.shifted.coeffs)
+print("decomposition accepted:", dec.nonneg_realrooted())
+print("peaks at:             ", unimodal_peaks(h), "expected:", t.rank // 2)

@@ -26,7 +26,9 @@ from .coxeter import (
     DEFAULT_GROUP_ORDER_CAP,
     CoxeterType,
     build_reflection_group,
-    nc_symdec_report,
+    nc_chain_polynomial,
+    nc_h_formula,
+    nc_reversed_h_identity,
     noncrossing_lattice,
 )
 from .descents import (
@@ -47,6 +49,7 @@ from .polynomials import (
     is_unimodal,
     mode,
     parse_poly,
+    unimodal_peaks,
 )
 from .posets import (
     GradedBoundedPoset,
@@ -146,6 +149,17 @@ def _certification_lines(rep: Report, p: Poly) -> bool:
     return ok
 
 
+def _symdec_lines(rep: Report, p: Poly, n: int) -> bool:
+    """Add the symmetric decomposition of p with respect to n and its
+    verdict; returns the verdict."""
+    dec = symmetric_decomposition(p, n)
+    verdict = dec.nonneg_realrooted()
+    rep.add("symmetric-part", dec.symmetric)
+    rep.add("shifted-part", dec.shifted)
+    rep.add("symdec", verdict)
+    return verdict
+
+
 def cmd_ant(ns, rep: Report) -> int:
     t = parse_descent_set(ns.t)
     if ns.colored is not None and ns.colored < 1:
@@ -186,25 +200,28 @@ def cmd_nc(ns, rep: Report) -> int:
                 "no concrete group model for type %s" % t
             )
         group = build_reflection_group(t, max_order=ns.max_elements)
-    report = nc_symdec_report(t)
-    rep.add("coefficients", report.h)
-    rep.add("type", str(t))
-    rep.add("rank", t.rank)
-    rep.add("chain", report.chain)
-    rep.add("real-rooted", report.h_real_rooted)
-    rep.add("chain-real-rooted", report.chain_real_rooted)
-    rep.add("unimodal", is_unimodal(report.h))
-    rep.add("peaks", report.peaks)
-    rep.add("expected-peak", report.expected_peak)
-    rep.add("peak-ok", report.peak_ok)
-    rep.add("veronese-identity", report.veronese_identity)
+    h, chain = nc_h_formula(t), nc_chain_polynomial(t)
+    peaks, expected = unimodal_peaks(h), t.rank // 2
+    # the lines go to rep only once every value is computed, so that a
+    # failure leaves only the error line
+    lines = Report()
+    lines.add("coefficients", h)
+    lines.add("type", str(t))
+    lines.add("rank", t.rank)
+    lines.add("chain", chain)
+    lines.add("real-rooted", is_real_rooted(h))
+    lines.add("chain-real-rooted", is_real_rooted(chain))
+    lines.add("unimodal", bool(peaks))  # h has constant term 1
+    lines.add("peaks", peaks)
+    lines.add("expected-peak", expected)
+    lines.add("peak-ok", expected in peaks)
+    lines.add("veronese-identity", nc_reversed_h_identity(t))
     if ns.symdec:
-        rep.add("symmetric-part", report.symmetric_part)
-        rep.add("shifted-part", report.shifted_part)
-        rep.add("symdec", report.symdec_nonneg_realrooted)
+        _symdec_lines(lines, h, t.rank - 1)
+    rep.entries += lines.entries
     code = 0
     if ns.oracle:
-        match = chain_polynomial(noncrossing_lattice(group)) == report.chain
+        match = chain_polynomial(noncrossing_lattice(group)) == chain
         rep.add("oracle", "match" if match else "mismatch")
         if not match:
             code = 1
@@ -258,11 +275,7 @@ def cmd_certify(ns, rep: Report) -> int:
         rep.add("interlaces", verdict)
         holds = holds and verdict
     if ns.symdec is not None:
-        dec = symmetric_decomposition(p, ns.symdec)
-        rep.add("symmetric-part", dec.symmetric)
-        rep.add("shifted-part", dec.shifted)
-        verdict = dec.nonneg_realrooted()
-        rep.add("symdec", verdict)
+        verdict = _symdec_lines(rep, p, ns.symdec)
         holds = holds and verdict
     return 0 if holds else 1
 

@@ -10,8 +10,9 @@ poset; the whole group is listed only when asked for.  The formula
 route evaluates closed descent-word expressions for the order
 h-polynomial, with the exceptional types kept as a constant table.
 The lattice route only scales to small ranks and exists chiefly to
-certify the formula route; everything downstream (chain polynomials,
-symmetric decompositions, unimodality reports) runs off the formulas.
+certify the formula route.  This module only enumerates and transforms:
+the chain polynomial and the reversed-h identity run off the formulas,
+and certifying them is left to the callers.
 
 Group elements are tuples w with w[i-1] = image of i, values in +-[n];
 plain permutations are the all-positive case.
@@ -29,10 +30,8 @@ from typing import Optional, Tuple
 
 from .descents import signed_word_descent_enumerator, word_descent_enumerator
 from .errors import DomainError, ResourceLimitError
-from .polynomials import Poly, f_from_h, unimodal_peaks, veronese
+from .polynomials import Poly, f_from_h, veronese
 from .posets import GradedBoundedPoset
-from .realroots import is_real_rooted
-from .symdecomp import symmetric_decomposition
 
 DEFAULT_GROUP_ORDER_CAP = 50000
 
@@ -57,16 +56,16 @@ class CoxeterType:
     def __post_init__(self):
         fam, p = self.family, self.param
         if fam == "A":
-            if not isinstance(p, int) or p < 1:
+            if type(p) is not int or p < 1:
                 raise DomainError("type A needs rank >= 1")
         elif fam == "B":
-            if not isinstance(p, int) or p < 1:
+            if type(p) is not int or p < 1:
                 raise DomainError("type B needs rank >= 1")
         elif fam == "D":
-            if not isinstance(p, int) or p < 2:
+            if type(p) is not int or p < 2:
                 raise DomainError("type D needs rank >= 2")
         elif fam == "I2":
-            if not isinstance(p, int) or p < 3:
+            if type(p) is not int or p < 3:
                 raise DomainError("type I2 needs edge label m >= 3")
         elif fam in EXCEPTIONAL_H:
             if p is not None:
@@ -367,49 +366,3 @@ def nc_reversed_h_identity(t: CoxeterType) -> Optional[bool]:
     if t.family == "A":
         return h.reverse(t.param).scale(t.param + 1) == rhs
     return h.reverse(t.param) == rhs
-
-
-@dataclass(frozen=True)
-class NCReport:
-    """Certification summary for one noncrossing lattice."""
-
-    coxeter_type: CoxeterType
-    h: Poly
-    chain: Poly
-    h_real_rooted: bool
-    chain_real_rooted: bool
-    symmetric_part: Poly
-    shifted_part: Poly
-    symdec_nonneg_realrooted: bool
-    peaks: tuple
-    expected_peak: int
-    peak_ok: bool
-    veronese_identity: Optional[bool]
-
-
-def nc_symdec_report(t: CoxeterType) -> NCReport:
-    """Run the full certification pipeline on one Coxeter type: real
-    rootedness of h and of the chain polynomial, the nonnegative
-    real-rooted symmetric decomposition of h with respect to rank - 1,
-    the unimodality peak at floor(rank/2), and (classical types) the
-    reversed-h product identity."""
-    h = nc_h_formula(t)
-    chain = nc_chain_polynomial(t)
-    r = t.rank
-    dec = symmetric_decomposition(h, r - 1)
-    peaks = unimodal_peaks(h)
-    expected = r // 2
-    return NCReport(
-        coxeter_type=t,
-        h=h,
-        chain=chain,
-        h_real_rooted=is_real_rooted(h),
-        chain_real_rooted=is_real_rooted(chain),
-        symmetric_part=dec.symmetric,
-        shifted_part=dec.shifted,
-        symdec_nonneg_realrooted=dec.nonneg_realrooted(),
-        peaks=peaks,
-        expected_peak=expected,
-        peak_ok=expected in peaks,
-        veronese_identity=nc_reversed_h_identity(t),
-    )

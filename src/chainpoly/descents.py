@@ -31,7 +31,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, permutations, product
-from operator import sub
+from operator import mul, sub
 from typing import Iterable
 
 from .errors import DomainError, ResourceLimitError
@@ -222,11 +222,10 @@ def colored_descent_enumerator_bruteforce(
     enumerator: the last position never descends."""
     if type(n) is not int or n < 0 or type(r) is not int or r < 1:
         raise DomainError("need n >= 0 and r >= 1")
-    if math.factorial(n) * r ** n > max_enum:
-        raise ResourceLimitError(
-            "n! * r^n = %d exceeds the enumeration cap %d"
-            % (math.factorial(n) * r ** n, max_enum)
-        )
+    # n! * r^n factor by factor, stopping once past the cap
+    sizes = accumulate((i * r for i in range(1, n + 1)), mul, initial=1)
+    if any(size > max_enum for size in sizes):
+        raise ResourceLimitError("n! * r^n exceeds the enumeration cap %d" % max_enum)
     t = _position_set(allowed, n)
     tmask = 0
     for a in t:

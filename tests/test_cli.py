@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -11,7 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainpoly import Poly, Poset, chain_polynomial, nc_symdec_report
+from chainpoly import (
+    CoxeterType,
+    Poly,
+    Poset,
+    chain_polynomial,
+    is_real_rooted,
+    nc_chain_polynomial,
+    nc_h_formula,
+    symmetric_decomposition,
+)
 from chainpoly.cli import main
 
 SQUARE = str(Path(__file__).parent / "golden" / "square.json")
@@ -94,7 +102,27 @@ def test_ant_brute_cap(capsys):
     assert "error=" in out
     code, out, _ = run_cli(capsys, "ant", "11", "-", "--brute")
     assert code == 3
-    assert out == "error=n! * r^n = 39916800 exceeds the enumeration cap 10000000\n"
+    assert out == "error=n! * r^n exceeds the enumeration cap 10000000\n"
+
+
+# n! past the digits Python will print, and n far past any product the cap
+# lets through: the cap stops the product factor by factor
+@pytest.mark.parametrize("n", ["2000", "10000000"])
+def test_ant_brute_cap_huge_n(capsys, tmp_path, n):
+    code, out, err = run_cli(capsys, "ant", n, "-", "--brute")
+    assert (code, out) == (3, "error=n! * r^n exceeds the enumeration cap 10000000\n")
+    assert "Traceback" not in err
+    batch = tmp_path / "batch.txt"
+    batch.write_text("\n".join(json.dumps(line) for line in [
+        ["ant", n, "-", "--brute"], ["ant", "3", "1,2"],
+    ]) + "\n")
+    code, out, err = run_cli(capsys, "--batch", str(batch))
+    assert code == 3 and "Traceback" not in err
+    records = [json.loads(l) for l in out.strip().splitlines()]
+    assert records[0] == {
+        "error": "n! * r^n exceeds the enumeration cap 10000000", "exit": 3,
+    }
+    assert (records[1]["coefficients"], records[1]["exit"]) == ([1, 4, 1], 0)
 
 
 def test_nc_h3(capsys):
@@ -132,11 +160,10 @@ def test_nc_oracle_counts_chains_once(capsys, monkeypatch):
 
 
 def test_nc_oracle_mismatch(capsys, monkeypatch):
-    def report(t):
-        real = nc_symdec_report(t)
-        return dataclasses.replace(real, chain=real.chain + Poly([0, 1]))
+    def chain(t):
+        return nc_chain_polynomial(t) + Poly([0, 1])
 
-    monkeypatch.setattr("chainpoly.cli.nc_symdec_report", report)
+    monkeypatch.setattr("chainpoly.cli.nc_chain_polynomial", chain)
     code, out, _ = run_cli(capsys, "nc", "A3", "--oracle")
     assert code == 1
     assert "oracle=mismatch" in out.splitlines()
@@ -148,10 +175,11 @@ def test_nc_oracle_unavailable(capsys):
 
 
 def test_nc_oracle_cap_before_report(capsys, monkeypatch):
-    def report(t):
-        raise AssertionError("formula report built for %s" % t)
+    def formula(t):
+        raise AssertionError("formula evaluated for %s" % t)
 
-    monkeypatch.setattr("chainpoly.cli.nc_symdec_report", report)
+    monkeypatch.setattr("chainpoly.cli.nc_h_formula", formula)
+    monkeypatch.setattr("chainpoly.cli.nc_chain_polynomial", formula)
     for name in ("A40", "H3"):
         code, out, _ = run_cli(capsys, "nc", name, "--oracle")
         assert code == 3
@@ -291,6 +319,42 @@ def test_nc_symdec(capsys):
     sym = next(l for l in lines if l.startswith("symmetric-part="))
     coeffs = [int(c) for c in sym.split("=", 1)[1].split(",")]
     assert coeffs == coeffs[::-1]
+
+
+def test_nc_certifies_only_what_it_prints(capsys, monkeypatch):
+    decomposed, certified = [], []
+
+    def decompose(p, n):
+        decomposed.append(n)
+        return symmetric_decomposition(p, n)
+
+    def real_rooted(p):
+        certified.append(p)
+        return is_real_rooted(p)
+
+    monkeypatch.setattr("chainpoly.cli.symmetric_decomposition", decompose)
+    monkeypatch.setattr("chainpoly.cli.is_real_rooted", real_rooted)
+    code, out, _ = run_cli(capsys, "nc", "B5")
+    assert code == 0 and "symdec=" not in out
+    assert decomposed == []
+    t = CoxeterType("B", 5)
+    assert certified == [nc_h_formula(t), nc_chain_polynomial(t)]
+    code, out, _ = run_cli(capsys, "nc", "B5", "--symdec")
+    assert code == 0 and "symdec=yes" in out.splitlines()
+    assert decomposed == [4]
+
+
+@pytest.mark.parametrize("argv,failing", [
+    (["nc", "A3"], "nc_reversed_h_identity"),
+    (["nc", "A3", "--symdec"], "symmetric_decomposition"),
+])
+def test_nc_failure_prints_only_the_error(capsys, monkeypatch, argv, failing):
+    def fail(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("chainpoly.cli." + failing, fail)
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out) == (3, "error=out of memory\n")
 
 
 def test_nc_bad_type(capsys):

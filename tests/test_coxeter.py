@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import combinations, product
 
@@ -18,13 +19,14 @@ from chainpoly import (
     nc_chain_polynomial,
     nc_h_formula,
     nc_reversed_h_identity,
-    nc_symdec_report,
     noncrossing_lattice,
     order_h_polynomial,
     signed_word_descent_enumerator,
+    symmetric_decomposition,
     veronese,
     word_descent_enumerator,
 )
+from chainpoly.cli import main
 from chainpoly.coxeter import _absolute_length, _veronese_product, compose
 from oracles import (
     absolute_lengths_bfs,
@@ -57,6 +59,20 @@ def test_parse_rejects_bad_input():
     for text in ["A0", "D1", "I2:2", "X3", "E9", "H5", "I2:", "A", ""]:
         with pytest.raises(DomainError):
             CoxeterType.parse(text)
+
+
+def test_bool_is_not_a_rank():
+    errors = {
+        "A": "type A needs rank >= 1",
+        "B": "type B needs rank >= 1",
+        "D": "type D needs rank >= 2",
+        "I2": "type I2 needs edge label m >= 3",
+    }
+    for family, error in errors.items():
+        for flag in (True, False):
+            with pytest.raises(DomainError) as exc:
+                CoxeterType(family, flag)
+            assert str(exc.value) == error
 
 
 def test_exceptional_h_values():
@@ -158,7 +174,6 @@ def test_explicit_gamma_is_checked():
 
 def test_lattice_route_lists_no_group_element(monkeypatch, capsys):
     import chainpoly.coxeter as coxeter
-    from chainpoly.cli import main
 
     def refuse(*args):
         raise AssertionError("the group was listed")
@@ -339,46 +354,48 @@ def test_veronese_product_matches_pow_form():
     assert _veronese_product(CoxeterType.parse("E8")) is None
 
 
-def test_symdec_report_fields():
-    rep = nc_symdec_report(CoxeterType.parse("H3"))
-    assert rep.h == Poly([1, 28, 21])
-    assert rep.h_real_rooted and rep.chain_real_rooted
-    assert rep.symdec_nonneg_realrooted
-    assert rep.peak_ok
-    assert rep.expected_peak == 1
-    assert rep.veronese_identity is None
-    assert rep.symmetric_part + Poly([0, 1]) * rep.shifted_part == rep.h
-
-    rep = nc_symdec_report(CoxeterType.parse("A3"))
-    assert rep.veronese_identity is True
-    assert rep.expected_peak == 1
-    assert rep.peaks == (1,)
-    assert rep.symmetric_part == Poly([1, 6, 1])
-    assert rep.shifted_part == Poly([4, 4])
+def nc_report(capsys, name):
+    """The report of `nc NAME --symdec --json`, as a dict."""
+    assert main(["nc", name, "--symdec", "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
 
 
-def test_symdec_report_decomposes_once(monkeypatch):
-    import chainpoly.symdecomp as symdecomp
+def test_symdec_report_fields(capsys):
+    rep = nc_report(capsys, "H3")
+    assert rep["coefficients"] == [1, 28, 21]
+    assert rep["real-rooted"] and rep["chain-real-rooted"]
+    assert rep["symdec"]
+    assert rep["peak-ok"]
+    assert rep["expected-peak"] == 1
+    assert rep["veronese-identity"] is None
+    parts = Poly(rep["symmetric-part"]) + Poly([0, 1]) * Poly(rep["shifted-part"])
+    assert parts == Poly([1, 28, 21])
 
+    rep = nc_report(capsys, "A3")
+    assert rep["veronese-identity"] is True
+    assert rep["expected-peak"] == 1
+    assert rep["peaks"] == [1]
+    assert rep["symmetric-part"] == [1, 6, 1]
+    assert rep["shifted-part"] == [4, 4]
+
+
+def test_symdec_report_decomposes_once(monkeypatch, capsys):
     calls = []
-    real = symdecomp.symmetric_decomposition
 
     def counted(p, n):
         calls.append(n)
-        return real(p, n)
+        return symmetric_decomposition(p, n)
 
-    monkeypatch.setattr("chainpoly.coxeter.symmetric_decomposition", counted)
-    monkeypatch.setattr("chainpoly.symdecomp.symmetric_decomposition", counted)
-    rep = nc_symdec_report(CoxeterType.parse("B3"))
-    assert rep.symdec_nonneg_realrooted
+    monkeypatch.setattr("chainpoly.cli.symmetric_decomposition", counted)
+    assert nc_report(capsys, "B3")["symdec"] is True
     assert calls == [2]
 
 
-def test_report_real_rootedness_everywhere():
+def test_report_real_rootedness_everywhere(capsys):
     names = ["A2", "A3", "A4", "B2", "B3", "D3", "I2:6", "H3", "H4", "F4", "E6", "E7", "E8"]
     for name in names:
-        rep = nc_symdec_report(CoxeterType.parse(name))
-        assert rep.h_real_rooted, name
-        assert rep.chain_real_rooted, name
-        assert rep.symdec_nonneg_realrooted, name
-        assert rep.peak_ok, name
+        rep = nc_report(capsys, name)
+        assert rep["real-rooted"], name
+        assert rep["chain-real-rooted"], name
+        assert rep["symdec"], name
+        assert rep["peak-ok"], name

@@ -4,6 +4,7 @@ import runpy
 import pytest
 
 DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "demos"
 
 
 def test_all_demos_found():
@@ -18,4 +19,4 @@ def test_all_demos_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, capsys):
     runpy.run_path(str(demo), run_name="__main__")
-    assert capsys.readouterr().out
+    assert capsys.readouterr().out == (GOLDEN / (demo.stem + ".txt")).read_text()
