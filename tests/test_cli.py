@@ -333,15 +333,14 @@ def test_nc_certifies_only_what_it_prints(capsys, monkeypatch):
         return is_real_rooted(p)
 
     monkeypatch.setattr("chainpoly.cli.symmetric_decomposition", decompose)
-    monkeypatch.setattr("chainpoly.cli.is_real_rooted", real_rooted)
+    monkeypatch.setattr("chainpoly.symdecomp.symmetric_decomposition", decompose)
+    for module in ("cli", "realroots", "symdecomp"):
+        monkeypatch.setattr(f"chainpoly.{module}.is_real_rooted", real_rooted)
     code, out, _ = run_cli(capsys, "nc", "B5")
     assert code == 0 and "symdec=" not in out
     assert decomposed == []
     t = CoxeterType("B", 5)
     assert certified == [nc_h_formula(t), nc_chain_polynomial(t)]
-    code, out, _ = run_cli(capsys, "nc", "B5", "--symdec")
-    assert code == 0 and "symdec=yes" in out.splitlines()
-    assert decomposed == [4]
 
 
 @pytest.mark.parametrize("argv,failing", [

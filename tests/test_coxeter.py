@@ -387,8 +387,11 @@ def test_symdec_report_decomposes_once(monkeypatch, capsys):
         return symmetric_decomposition(p, n)
 
     monkeypatch.setattr("chainpoly.cli.symmetric_decomposition", counted)
-    assert nc_report(capsys, "B3")["symdec"] is True
-    assert calls == [2]
+    monkeypatch.setattr("chainpoly.symdecomp.symmetric_decomposition", counted)
+    for name, n in [("B3", 2), ("B5", 4)]:
+        calls.clear()
+        assert nc_report(capsys, name)["symdec"] is True
+        assert calls == [n]
 
 
 def test_report_real_rootedness_everywhere(capsys):
