@@ -209,8 +209,11 @@ def cmd_nc(ns, rep: Report) -> int:
     lines.add("type", str(t))
     lines.add("rank", t.rank)
     lines.add("chain", chain)
-    lines.add("real-rooted", is_real_rooted(h))
-    lines.add("chain-real-rooted", is_real_rooted(chain))
+    real_rooted = is_real_rooted(h)
+    lines.add("real-rooted", real_rooted)
+    # chain = (1+x)^2 f_from_h(h, rank-1), whose roots are -1 and the
+    # images of h's roots under the real Moebius map y -> y/(1-y)
+    lines.add("chain-real-rooted", real_rooted)
     lines.add("unimodal", bool(peaks))  # h has constant term 1
     lines.add("peaks", peaks)
     lines.add("expected-peak", expected)

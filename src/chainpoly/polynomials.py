@@ -279,30 +279,29 @@ def _remainder_sequence(f0: list, f1: list) -> list:
     return chain
 
 
-def _binomial_transform(p: Poly, n: int, sign: int) -> Poly:
-    """sum over i of p_i x^i (1 + sign*x)^(n-i), for n >= deg(p).
+def _binomial_transform(cs: list, n: int, sign: int) -> list:
+    """sum over i of cs[i] x^i (1 + sign*x)^(n-i) as a coefficient list,
+    for n >= len(cs) - 1.
 
-    One Horner pass on a coefficient list:
-    acc_k = acc_(k-1) * (1 + sign*x) + p_k x^k, and acc_n is the result.
+    One Horner pass: acc_k = acc_(k-1) * (1 + sign*x) + cs[k] x^k, and
+    acc_n is the result.
     """
-    if n < p.degree:
+    if n < len(cs) - 1:
         raise InvalidDegreeError("transform degree below polynomial degree")
-    acc = [0] * (n + 1)
-    for k in range(n + 1):
-        for j in range(k, 0, -1):
-            acc[j] += sign * acc[j - 1]
-        acc[k] += p.coefficient(k)
-    return Poly(acc)
+    acc = []
+    for c in cs + [0] * (n + 1 - len(cs)):
+        acc = [a + sign * b for a, b in zip(acc + [c], [0] + acc)]
+    return acc
 
 
 def h_from_f(f: Poly, n: int) -> Poly:
     """h(x) = sum over i of f_i x^i (1-x)^(n-i), for n >= deg(f)."""
-    return _binomial_transform(f, n, -1)
+    return Poly(_binomial_transform(list(f.coeffs), n, -1))
 
 
 def f_from_h(h: Poly, n: int) -> Poly:
     """Inverse of h_from_f: f(x) = sum over i of h_i x^i (1+x)^(n-i)."""
-    return _binomial_transform(h, n, 1)
+    return Poly(_binomial_transform(list(h.coeffs), n, 1))
 
 
 def has_nonneg_coeffs(p: Poly) -> bool:

@@ -12,6 +12,25 @@ Inside the kernel every chain member is a plain ascending list of
 integers, so V reads the lead as m[-1] and the degree parity from
 len(m).
 
+Real-rootedness of p with positive coefficients and degree d may be
+decided on f(x) = (1+x)^d p(x/(1+x)) instead (Brenti, Mem. AMS 413,
+1989).  x -> x/(1+x) is a real Moebius map, so the roots of f are the
+images y/(1-y) of the roots y of p, multiplicities kept, and none is
+lost to infinity: the lead of f is p(1) > 0.  So f is real-rooted
+exactly when p is, with the same squarefree degree, and then its roots
+lie in (-1, 0).  The chain of f is far cheaper when the roots of p span
+magnitudes far below and far above 1, which the coefficients show:
+with r_i the bit-length drop from p_i to p_(i+1), both max r and
+-min r reach 3d/8.  The rule asks for both ends, so a polynomial
+already of f's kind (roots in (-1, 0), small max r) keeps its own
+chain.  It also asks for d >= 11: below that both chains are short
+and the transform costs more than it saves.  The fields of the
+certificate do not change with the route.
+A real-rooted p always reads (True, d, sf, sf, sf, 0): a chain of at
+most sf + 1 members whose variations differ by sf has sf at -inf and
+none at +inf.  So when f's chain holds, that certificate is returned;
+when it fails, p's own chain runs and every field is read off it.
+
 Interlacing p <= q (every root of q weakly separated by a root of p,
 largest root of q outermost) locates no root.  Common roots never break
 a weak alternation, so with g = gcd(p, q) it holds exactly when the
@@ -35,7 +54,13 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import NotRealRootedError
-from .polynomials import Poly, _exact_quotient, _integer_coeffs, _remainder_sequence
+from .polynomials import (
+    Poly,
+    _binomial_transform,
+    _exact_quotient,
+    _integer_coeffs,
+    _remainder_sequence,
+)
 
 
 def _sturm(f: list) -> list:
@@ -66,6 +91,16 @@ class RealRootedness:
     variations_pos_inf: int
 
 
+def _spans_one(cs: list) -> bool:
+    """The route rule of the module docstring: positive coefficients,
+    degree d >= 11, and bit-length drops reaching 3d/8 both ways."""
+    d = len(cs) - 1
+    if d < 11 or min(cs) <= 0:
+        return False
+    r = [a.bit_length() - b.bit_length() for a, b in zip(cs, cs[1:])]
+    return 8 * min(max(r), -min(r)) >= 3 * d
+
+
 @lru_cache(maxsize=None)
 def real_rootedness(p: Poly) -> RealRootedness:
     """Decide real-rootedness exactly and return the Sturm certificate.
@@ -74,9 +109,17 @@ def real_rootedness(p: Poly) -> RealRootedness:
     zero polynomial and nonzero constants count as real-rooted.  The
     variation counts are those of the chain of sf = p / gcd(p, p'), which
     equal the ones on the chain of p unless p is neither squarefree nor
-    real-rooted.
+    real-rooted.  Inputs that `_spans_one` picks are tried on the chain
+    of f first, see the module docstring.
     """
-    chain = _sturm(_integer_coeffs(p))
+    cs = _integer_coeffs(p)
+    if _spans_one(cs):
+        chain = _sturm(_binomial_transform(cs, len(cs) - 1, 1))
+        sf_degree = len(chain[0]) - len(chain[-1])
+        vneg, vpos = _variations(chain)
+        if vneg - vpos == sf_degree:  # p's own chain would read the same
+            return RealRootedness(True, p.degree, sf_degree, sf_degree, sf_degree, 0)
+    chain = _sturm(cs)
     gcd = chain[-1]
     sf_degree = len(chain[0]) - len(gcd)
     vneg, vpos = _variations(chain)

@@ -16,6 +16,7 @@ from chainpoly import (
     f_from_h,
     face_poset,
     flag_vectors,
+    is_real_rooted,
     nc_chain_polynomial,
     nc_h_formula,
     nc_reversed_h_identity,
@@ -241,6 +242,21 @@ def test_chain_factors_through_proper_part():
     # with bottom equal to top the one element is dropped once: (1+x) * 1
     assert chain_polynomial(boolean_lattice(0)) == Poly([1, 1])
     assert len(boolean_lattice(0).proper_part()) == 0
+
+
+def test_chain_real_rootedness_is_h_real_rootedness():
+    """nc prints chain-real-rooted from h's verdict: the chain polynomial
+    is (1+x)^2 f_from_h(h, rank - 1), a real Moebius image of h's roots
+    plus -1 twice."""
+    types = [CoxeterType(fam, k) for fam in "ABD" for k in range(2 if fam == "D" else 1, 31)]
+    types += [CoxeterType("I2", m) for m in range(3, 13)]
+    types += [CoxeterType.parse(name) for name in ("H3", "H4", "F4", "E6", "E7", "E8")]
+    for t in types:
+        assert is_real_rooted(nc_chain_polynomial(t)) == is_real_rooted(nc_h_formula(t)), t
+    # the same map on h that are not real-rooted
+    for h in (Poly([1, 1, 1]), Poly([1, 5, 2, 9]), Poly([2, 1, 1]) * Poly([1, 3])):
+        chain = Poly([1, 2, 1]) * f_from_h(h, h.degree)
+        assert not is_real_rooted(chain) and not is_real_rooted(h)
 
 
 def test_lattice_structure():

@@ -1,23 +1,32 @@
+import random
 from collections import Counter
 from dataclasses import astuple
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from chainpoly import (
     ONE,
     ZERO,
+    CoxeterType,
     NotRealRootedError,
     Poly,
     RealRootedness,
+    boolean_lattice,
+    chain_polynomial,
     descent_enumerator,
+    f_from_h,
     interlaces,
     is_interlacing_sequence,
     is_real_rooted,
+    nc_chain_polynomial,
+    nc_h_formula,
     real_rootedness,
+    signed_word_descent_enumerator,
+    word_descent_enumerator,
 )
 from chainpoly.polynomials import _integer_coeffs, _remainder_sequence
 from chainpoly.realroots import _sturm
@@ -310,3 +319,130 @@ def test_descent_enumerators_real_rooted():
     for n in range(1, 8):
         assert is_real_rooted(descent_enumerator(n, frozenset(range(1, n))))
 
+
+
+def _sturm_inputs(p):
+    """The lists real_rootedness hands to _sturm on p, memo bypassed."""
+    import chainpoly.realroots as realroots
+
+    seen = []
+    real = realroots._sturm
+
+    def counted(f):
+        seen.append(f)
+        return real(f)
+
+    realroots._sturm = counted
+    try:
+        realroots.real_rootedness.__wrapped__(p)
+    finally:
+        realroots._sturm = real
+    return seen
+
+
+def _route(p):
+    """"direct" when the first chain built is that of p itself, "f" when
+    the only one is that of f_from_h(p, deg p), "fallback" when p's own
+    chain follows f's."""
+    seen = _sturm_inputs(p)
+    cs = _integer_coeffs(p)
+    if seen[0] == cs:
+        return "direct"
+    assert seen[0] == list(f_from_h(Poly(cs), p.degree).coeffs), (p, seen)
+    if len(seen) == 1:
+        return "f"
+    assert seen[1] == cs, (p, seen)
+    return "fallback"
+
+
+def test_route_takes_the_f_side_on_the_paper_polynomials():
+    paper = [descent_enumerator(n, frozenset(range(1, n))) for n in range(12, 31)]
+    paper += [nc_h_formula(CoxeterType(fam, k)) for fam in "ABD" for k in range(12, 31)]
+    paper += [signed_word_descent_enumerator(n) for n in range(15, 31)]
+    paper += [word_descent_enumerator(n, n) for n in range(15, 26)]
+    for p in paper:
+        assert _route(p) == "f", p
+    # below degree 11 the transform costs more than it saves
+    small = [descent_enumerator(n, frozenset(range(1, n))) for n in range(3, 12)]
+    small += [nc_h_formula(CoxeterType(fam, k)) for fam in "ABD" for k in range(3, 12)]
+    for p in small:
+        assert _route(p) == "direct", p
+
+
+def test_route_share_on_descent_classes():
+    # every 8th T of size round(0.7 (n - 1)): degree 10 at n = 16 is below
+    # the floor; at n = 17 the sets that miss have a top-end bit drop
+    # max r below 3d/8 and keep the direct chain
+    def routes(n):
+        k = round(0.7 * (n - 1))
+        sets = list(combinations(range(1, n), k))[::8]
+        return Counter(_route(descent_enumerator(n, frozenset(t))) for t in sets)
+
+    assert routes(16) == {"direct": 376}
+    assert routes(17) == {"f": 514, "direct": 32}
+
+
+def _bench_roots(rng, count, negative):
+    """Distinct rationals u/v, v <= 3, from [-40, 40] or [-40, 0)."""
+    roots = set()
+    while len(roots) < count:
+        v = rng.randint(1, 3)
+        u = rng.randint(-40 * v, 0 if negative else 40 * v)
+        if u:
+            roots.add(Fraction(u, v))
+    return sorted(roots)
+
+
+def test_route_stays_direct_on_the_f_side_and_on_random_roots():
+    types = [CoxeterType(fam, k) for fam in "ABD" for k in range(2, 31)]
+    inputs = [nc_chain_polynomial(t) for t in types]
+    inputs += [f_from_h(nc_h_formula(t), t.rank - 1) for t in types]
+    inputs += [f_from_h(descent_enumerator(n, frozenset(range(1, n))), n - 1)
+               for n in range(2, 31)]
+    inputs += [chain_polynomial(boolean_lattice(n)) for n in range(5, 8)]
+    rng = random.Random(3)
+    for degree in (3, 4, 5, 10, 12, 14, 16):
+        for negative in (False, True):
+            for _ in range(10):
+                roots = _bench_roots(rng, degree, negative)
+                # products of (x - r) as the root and pair jobs build
+                # them, some with repeated roots or x^2 + 4x + 13
+                p = linear_product([-r for r in roots])
+                inputs += [p, p * Poly([13, 4, 1]), p * linear_product([-r for r in roots[:2]])]
+    for p in inputs:
+        assert _route(p) == "direct", p
+
+
+@st.composite
+def spread_polys(draw):
+    """Positive products of (x + u/v) with log2(u/v) in [-12, 12], some
+    with repeated roots, a quadratic with no real root or one perturbed
+    coefficient."""
+    exps = [draw(st.integers(-12, -3), "small"), draw(st.integers(3, 12), "large")]
+    exps += draw(st.lists(st.integers(-12, 12), min_size=7, max_size=12), "log2 roots")
+    odd = st.sampled_from([1, 3, 5, 7])
+    roots = [Fraction(draw(odd) * 2 ** max(e, 0), draw(odd) * 2 ** max(-e, 0)) for e in exps]
+    roots += draw(st.lists(st.sampled_from(roots), max_size=3), "repeated")
+    p = linear_product(roots) * draw(st.sampled_from([1, 6, Fraction(1, 5)]), "scale")
+    if draw(st.booleans(), "quadratic"):
+        b = draw(st.integers(0, 6), "b")
+        p = p * Poly([b * b // 4 + draw(st.integers(1, 9), "c"), b, 1])
+    if draw(st.booleans(), "perturb"):
+        cs = list(p.coeffs)
+        i = draw(st.integers(0, len(cs) - 1), "index")
+        cs[i] *= Fraction(draw(st.sampled_from([3, 5, 7, 9, 11, 13])), 8)
+        p = Poly(cs)
+    return p
+
+
+@given(spread_polys())
+@settings(max_examples=100, deadline=None)
+def test_route_keeps_every_field(p):
+    rr = real_rootedness.__wrapped__(p)
+    assert astuple(rr) == real_rootedness_oracle(p)
+    # f's chain decides only a positive verdict; a negative one is read
+    # off p's own chain
+    route = _route(p)
+    assert route == "direct" or (route == "f") == rr.holds
+    event("route " + route)
+    event("holds %s" % rr.holds)

@@ -1,16 +1,24 @@
-from hypothesis import given, settings
+from fractions import Fraction
+
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import pytest
 
 from chainpoly import (
+    CoxeterType,
     DomainError,
     Poly,
+    SymmetricDecomposition,
     ZERO,
+    descent_enumerator,
     has_nonneg_realrooted_symdec,
+    is_real_rooted,
     is_symmetric,
+    nc_h_formula,
     symmetric_decomposition,
 )
+from chainpoly.polynomials import has_nonneg_coeffs
 
 
 def test_decomposition_of_symmetric_poly_is_itself():
@@ -83,3 +91,66 @@ def test_accepts_genuine_decomposition():
     assert d.symmetric == Poly([1, 2, 1])
     assert d.shifted == Poly([1, 1])
     assert has_nonneg_realrooted_symdec(p, 2)
+
+
+def _direct(dec):
+    """Both parts nonnegative and real-rooted, each by its own chain."""
+    parts = (dec.symmetric, dec.shifted)
+    return all(map(has_nonneg_coeffs, parts)) and all(map(is_real_rooted, parts))
+
+
+def test_halving_matches_direct_chains_on_paper_polynomials():
+    cases = [(nc_h_formula(CoxeterType(fam, k)), k - 1)
+             for fam in "ABD" for k in range(2 if fam == "D" else 1, 41)]
+    cases += [(nc_h_formula(CoxeterType("I2", m)), 1) for m in range(3, 13)]
+    for name in ("H3", "H4", "F4", "E6", "E7", "E8"):
+        t = CoxeterType.parse(name)
+        cases.append((nc_h_formula(t), t.rank - 1))
+    for n in range(2, 13):
+        for t in (range(1, n), range(1, n, 2), range(2, n), range(1, n // 2 + 1)):
+            p = descent_enumerator(n, frozenset(t))
+            cases += [(p, n - 1), (p, p.degree + 1)]
+    verdicts = set()
+    for p, n in cases:
+        dec = symmetric_decomposition(p, n)
+        verdict = dec.nonneg_realrooted()
+        assert verdict == _direct(dec), (p, n)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@st.composite
+def palindromes(draw, n):
+    """A palindrome about n/2 with nonnegative coefficients, or zero:
+    c x^k (1+x)^j times quadratics x^2 + s x + 1, which are real-rooted
+    exactly when s >= 2."""
+    if draw(st.integers(0, 5)) == 0:
+        return ZERO
+    q = draw(st.integers(0, n // 2))
+    k = draw(st.integers(0, (n - 2 * q) // 2))
+    p = Poly([0] * k + [draw(st.integers(1, 3))]) * Poly([1, 1]) ** (n - 2 * q - 2 * k)
+    for _ in range(q):
+        p = p * Poly([1, draw(st.sampled_from([0, 1, 2, 3, 7, Fraction(5, 2)])), 1])
+    return p
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_halving_matches_direct_chains_on_random_parts(data):
+    n = data.draw(st.integers(0, 9), "n")
+    a = data.draw(palindromes(n), "symmetric")
+    b = data.draw(palindromes(n - 1), "shifted") if n else ZERO
+    p = a + Poly([0, 1]) * b
+    if data.draw(st.booleans(), "perturb"):
+        p = p + Poly(data.draw(st.lists(st.integers(0, 3), max_size=n + 1), "extra"))
+    dec = symmetric_decomposition(p, n)
+    verdict = dec.nonneg_realrooted()
+    assert verdict == _direct(dec)
+    event("accepted %s" % verdict)
+
+
+def test_halving_needs_palindromes():
+    # parts built by hand rather than by symmetric_decomposition are not
+    # palindromes; they get their own chains
+    assert SymmetricDecomposition(2, Poly([2, 3, 1]), Poly([0, 1])).nonneg_realrooted()
+    assert not SymmetricDecomposition(2, Poly([1, 2, 3]), ZERO).nonneg_realrooted()
