@@ -6,7 +6,10 @@ command lines (on the README's example poset and batch file), of
 that includes the over-cap ``A9``, and of ``poset --flags --rank-select
 --certify --json`` on a generated face poset (``face.json``) and on the
 colored subset poset of 3 points and 2 colors with a top adjoined
-(``colored.json``).  Default output must not change, so
+(``colored.json``), and of ``nc`` on exceptional, dihedral and type D
+lines and ``words d 12``, recorded before those polynomials were
+derived from the Coxeter degrees and the word recurrence.  Default
+output must not change, so
 any difference is a regression.
 """
 
