@@ -195,10 +195,6 @@ def cmd_nc(ns, rep: Report) -> int:
     t = CoxeterType.parse(ns.type)
     if ns.oracle:
         # the group-order cap comes before any formula work
-        if t.family not in ("A", "B", "D"):
-            raise ResourceLimitError(
-                "no concrete group model for type %s" % t
-            )
         group = build_reflection_group(t, max_order=ns.max_elements)
     h, chain = nc_h_formula(t), nc_chain_polynomial(t)
     peaks, expected = unimodal_peaks(h), t.rank // 2

@@ -7,8 +7,12 @@ reflections and a fixed Coxeter element alone, reads absolute lengths
 off Carter's lemma, l(w) = codim Fix(w), and generates the interval
 below the Coxeter element upward from the identity as a graded bounded
 poset; the whole group is listed only when asked for.  The formula
-route evaluates closed descent-word expressions for the order
-h-polynomial, with the exceptional types kept as a constant table.
+route evaluates the paper's descent-word expressions for the order
+h-polynomial of types A, B and D, and reads the dihedral and
+exceptional types off their degrees: the zeta polynomial of the
+noncrossing lattice is a Fuss-Catalan number (Chapoton, Sem. Lothar.
+Combin. 51, 2004), and h is a finite difference of it (Stanley, EC1
+Sec. 3.12).
 The lattice route only scales to small ranks and exists chiefly to
 certify the formula route.  This module only enumerates and transforms:
 the chain polynomial and the reversed-h identity run off the formulas,
@@ -35,13 +39,14 @@ from .posets import GradedBoundedPoset
 
 DEFAULT_GROUP_ORDER_CAP = 50000
 
-EXCEPTIONAL_H = {
-    "H3": (1, 28, 21),
-    "H4": (1, 275, 842, 232),
-    "F4": (1, 100, 265, 66),
-    "E6": (1, 826, 10778, 21308, 8141, 418),
-    "E7": (1, 4152, 110958, 446776, 412764, 85800, 2431),
-    "E8": (1, 25071, 1295238, 9523785, 17304775, 8733249, 1069289, 17342),
+# the degrees of each exceptional type (Humphreys, Table 3.1)
+EXCEPTIONAL_DEGREES = {
+    "H3": (2, 6, 10),
+    "H4": (2, 12, 20, 30),
+    "F4": (2, 6, 8, 12),
+    "E6": (2, 5, 6, 8, 9, 12),
+    "E7": (2, 6, 8, 10, 12, 14, 18),
+    "E8": (2, 8, 12, 14, 18, 20, 24, 30),
 }
 
 
@@ -67,7 +72,7 @@ class CoxeterType:
         elif fam == "I2":
             if type(p) is not int or p < 3:
                 raise DomainError("type I2 needs edge label m >= 3")
-        elif fam in EXCEPTIONAL_H:
+        elif fam in EXCEPTIONAL_DEGREES:
             if p is not None:
                 raise DomainError("type %s takes no parameter" % fam)
         else:
@@ -79,7 +84,7 @@ class CoxeterType:
             return self.param
         if self.family == "I2":
             return 2
-        return len(EXCEPTIONAL_H[self.family])
+        return len(EXCEPTIONAL_DEGREES[self.family])
 
     @classmethod
     def parse(cls, text: str) -> "CoxeterType":
@@ -93,7 +98,7 @@ class CoxeterType:
             except ValueError:  # past Python's int() digit limit
                 raise DomainError("type %s parameter is too long" % family) from None
             return cls(family, param)
-        if s in EXCEPTIONAL_H:
+        if s in EXCEPTIONAL_DEGREES:
             return cls(s)
         raise DomainError(
             "cannot parse Coxeter type %r (expected e.g. A4, B3, D5, I2:7, H3)"
@@ -202,11 +207,12 @@ def build_reflection_group(
     the usual signed cycle and bipartite product respectively.  The
     reflections are listed directly: the transpositions, for B and D
     also the signed transpositions, and for B the single sign changes.
-    No group element is listed.
+    No group element is listed.  Other types have no model here, and,
+    like a group over the order cap, raise ResourceLimitError.
     """
     fam = t.family
     if fam not in ("A", "B", "D"):
-        raise DomainError("no concrete group model for type %s" % t)
+        raise ResourceLimitError("no concrete group model for type %s" % t)
     n = t.param + 1 if fam == "A" else t.param
     # n! for A, 2^n n! for B and 2^(n-1) n! for D, factor by factor: an
     # order too long for "%d" stops as soon as it has too many digits
@@ -285,10 +291,17 @@ def nc_h_formula(t: CoxeterType) -> Poly:
     """Order h-polynomial of the proper part of the noncrossing lattice,
     by closed formula.
 
-    Classical types come from word descent enumerators: type A rank k is
-    the descent enumerator of [k+1]^k split by k+1 (always integral),
-    type B rank n that of [n]^n, type D the signed-word enumerator.
-    I2(m) is 1 + (m-1)x and the exceptional types are a fixed table.
+    Classical types come from the paper's word descent enumerators:
+    type A rank k is the descent enumerator of [k+1]^k split by k+1
+    (always integral), type B rank n that of [n]^n, type D the
+    signed-word enumerator.  I2(m), with degrees (2, m), and the
+    exceptional types come from their degrees d_1, ..., d_n and Coxeter
+    number h = d_n: NC(W) has Z(m) = prod_i ((m-1)h + d_i)/d_i
+    multichains x_1 <= ... <= x_(m-1) (Chapoton; Armstrong, Mem. AMS
+    949, Thm 3.6.9) and, being bounded of rank n,
+    sum_m Z(m) x^m (1-x)^(n+1) = sum_k h_k x^(k+1) (Stanley, EC1
+    Sec. 3.12).  So h_k = sum_i (-1)^i C(n+1, i) Z(k+1-i), where
+    Z(0) = 0 as d_n = h.
     """
     fam = t.family
     if fam == "A":
@@ -304,8 +317,16 @@ def nc_h_formula(t: CoxeterType) -> Poly:
     if fam == "D":
         return signed_word_descent_enumerator(t.param)
     if fam == "I2":
-        return Poly([1, t.param - 1])
-    return Poly(EXCEPTIONAL_H[fam])
+        return _h_from_degrees((2, t.param))
+    return _h_from_degrees(EXCEPTIONAL_DEGREES[fam])
+
+
+def _h_from_degrees(degrees: tuple) -> Poly:
+    """nc_h_formula of the Coxeter group with these degrees."""
+    n, h, order = len(degrees), max(degrees), math.prod(degrees)
+    z = [math.prod((m - 1) * h + d for d in degrees) // order for m in range(n + 1)]
+    weights = [(-1) ** i * math.comb(n + 1, i) for i in range(n + 1)]  # (1-x)^(n+1)
+    return Poly([sum(w * v for w, v in zip(weights, z[k + 1::-1])) for k in range(n)])
 
 
 def nc_chain_polynomial(t: CoxeterType) -> Poly:

@@ -6,22 +6,22 @@ a prescribed set of positions.  It is available twice over: a fast
 recurrence through the first-letter refinement p_(n,k) (permutations of
 n+1 letters with first letter k+1), and one brute-force count over
 r-colored permutations, which serves the colored enumerator and, at
-r = 1, the plain one.  Words over a bounded alphabet and the signed-word
-family used by the type-D noncrossing lattice have fast recurrences too;
-their enumerations are used only by the tests and live in
+r = 1, the plain one.  Words over a bounded alphabet, with descents or
+with ascents, have fast recurrences too, and the signed-word family used
+by the type-D noncrossing lattice is two consecutive word enumerators
+combined; their enumerations are used only by the tests and live in
 ``tests/oracles.py``, so every fast path has an independent count to
-test against.  All four fast recurrences are one transfer step,
+test against.  All three fast recurrences are one transfer step,
 ``_transfer``, on polynomials packed into ints (Kronecker substitution):
-each coefficient sits in a slot of fixed width, so multiplying by x is
-a shift and adding two polynomials is one int addition.  Each recurrence
+each coefficient sits in a slot of fixed width, so multiplying by x is a
+shift and adding two polynomials is one int addition.  Each recurrence
 sizes its slots from a proved bound on every coefficient it forms:
-(n+1)! for the first-letter rows, r^n for words and 2(n-1)^n for signed
-words, taken from bit lengths without forming the bound itself.  Rows
-are unpacked into coefficients, and ``Poly`` objects built, only where
-a result leaves the recurrence.  A determinant formula
-(an O(r^2) Hessenberg recurrence in integers) and the exact mean and
-variance of the descent statistic round out the module.  All arithmetic
-is exact.
+(n+1)! for the first-letter rows and r^n for words, taken from bit
+lengths without forming the bound itself.  Rows are unpacked into
+coefficients, and ``Poly`` objects built, only where a result leaves the
+recurrence.  A determinant formula (an O(r^2) Hessenberg recurrence in
+integers) and the exact mean and variance of the descent statistic round
+out the module.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -267,45 +267,28 @@ def word_ascent_enumerator(n: int, r: int) -> Poly:
     return Poly(_unpack(sum(state), width, n + 1))
 
 
-def _signed_columns(n: int, k: int) -> tuple:
-    """signed_word_columns packed, and the slot width.
-
-    At x = 1 the n-1 columns at k add up to 2(n-1)^k, and each column at
-    k+1 takes that whole total, so no coefficient up to k = n+1 exceeds
-    2(n-1)^n: that bounds the slots.
-    """
-    if type(n) is not int or n < 2:
-        raise DomainError("signed words need n >= 2")
-    if type(k) is not int or not 2 <= k <= n + 1:
-        raise DomainError("column index k must lie in 2..n+1")
-    width = _slot_width(n, n - 1)
-    cols = [2 * j - 1 + ((2 * n - 2 * j - 1) << width) for j in range(1, n)]
-    for _ in range(k - 2):
-        cols = _transfer(cols, _ONE, _X, width)[: n - 1]
-    return cols, width
-
-
-def signed_word_columns(n: int, k: int) -> tuple:
-    """The refinement columns (h_(n,k,1), ..., h_(n,k,n-1)) of the
-    signed-word descent enumerator, for 2 <= k <= n+1.
-
-    Base case k = 2: h_(n,2,j) = (2j-1) + (2n-2j-1) x.  Each step k -> k+1
-    takes head sums plus x times tail sums; at k = n+1 only j = 1 remains
-    meaningful and equals x times the full enumerator.
-    """
-    cols, width = _signed_columns(n, k)
-    return tuple(Poly(_unpack(c, width, k)) for c in cols)
-
-
 def signed_word_descent_enumerator(n: int) -> Poly:
     """Descent enumerator of signed words: first letter in +-[n-1], the
     rest in [n-1]; position 1 descends when |w(1)| > w(2) or the letters
-    are equal and positive, later positions descend weakly."""
+    are equal and positive, later positions descend weakly.
+
+    It is 2 e_n + (1-x) e_(n-1), e_k the descent enumerator of [n-1]^k.
+    With a positive first letter the words are those of [n-1]^n.  A
+    negative first letter -a loses the descent at position 1 exactly
+    when a = w(2), and merging that pair leaves a word of [n-1]^(n-1)
+    with the same later descents.  The result counts 2(n-1)^n words,
+    within the word slots, so it unpacks exactly although (1-x) e_(n-1)
+    has negative coefficients.
+    """
     if type(n) is not int or n < 2:
         raise DomainError("signed words need n >= 2")
-    # the top column is x times the enumerator: drop its zero constant
-    cols, width = _signed_columns(n, n + 1)
-    return Poly(_unpack(cols[0] >> width, width, n))
+    r = n - 1
+    width = _slot_width(n, r)
+    state = [1] * r
+    for _ in range(n - 2):
+        state = _transfer(state, _ONE, _X, width)[:r]
+    shorter, longer = sum(state), sum(_transfer(state, _ONE, _X, width)[:r])
+    return Poly(_unpack(2 * longer + shorter - (shorter << width), width, n))
 
 
 def _binom(a: int, b: int) -> int:

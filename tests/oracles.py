@@ -165,6 +165,13 @@ def word_ascent_enumerator_oracle(n: int, r: int) -> Poly:
 
 
 def signed_word_columns_oracle(n: int, k: int) -> tuple:
+    """The refinement columns (h_(n,k,1), ..., h_(n,k,n-1)) of the
+    signed-word descent enumerator, for 2 <= k <= n+1.
+
+    Base case k = 2: h_(n,2,j) = (2j-1) + (2n-2j-1) x.  Each step k -> k+1
+    takes head sums plus x times tail sums; at k = n+1 only j = 1 remains
+    meaningful and equals x times the full enumerator.
+    """
     cols = [[2 * j - 1, 2 * n - 2 * j - 1] for j in range(1, n)]
     for _ in range(k - 2):
         cols = transfer_oracle(cols, 0, 1)[: n - 1]

@@ -62,7 +62,6 @@ PUBLIC_NAMES = [
     "rank_selected",
     "rank_selected_h",
     "real_rootedness",
-    "signed_word_columns",
     "signed_word_descent_enumerator",
     "simplicial_h",
     "stanley_flag_beta",

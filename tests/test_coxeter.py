@@ -28,7 +28,7 @@ from chainpoly import (
     word_descent_enumerator,
 )
 from chainpoly.cli import main
-from chainpoly.coxeter import _absolute_length, _veronese_product, compose
+from chainpoly.coxeter import _absolute_length, _h_from_degrees, _veronese_product, compose
 from oracles import (
     absolute_lengths_bfs,
     chain_polynomial_pairwise,
@@ -87,8 +87,25 @@ def test_exceptional_h_values():
     assert nc_h_formula(CoxeterType.parse("E8")) == Poly(
         [1, 25071, 1295238, 9523785, 17304775, 8733249, 1069289, 17342]
     )
-    for m in range(3, 11):
-        assert nc_h_formula(CoxeterType("I2", m)) == Poly([1, m - 1])
+    for m in range(3, 101):
+        assert nc_h_formula(CoxeterType("I2", m)) == Poly([1, m - 1]), m
+
+
+def classical_degrees(t: CoxeterType) -> tuple:
+    """The degrees of a type A, B or D group (Humphreys, Table 3.1)."""
+    k = t.param
+    if t.family == "A":
+        return tuple(range(2, k + 2))
+    if t.family == "B":
+        return tuple(range(2, 2 * k + 1, 2))
+    return tuple(range(2, 2 * k - 1, 2)) + (k,)
+
+
+def test_degree_route_matches_word_route():
+    for fam in "ABD":
+        for k in range(2 if fam == "D" else 1, 61):
+            t = CoxeterType(fam, k)
+            assert _h_from_degrees(classical_degrees(t)) == nc_h_formula(t), t
 
 
 def test_classical_h_formulas():
@@ -193,7 +210,7 @@ def test_group_order_cap():
     with pytest.raises(ResourceLimitError):
         build_reflection_group(CoxeterType("A", 9))
     # exceptional types have no concrete model here at all
-    with pytest.raises(DomainError):
+    with pytest.raises(ResourceLimitError, match="no concrete group model for type H3"):
         build_reflection_group(CoxeterType("H3"))
 
 
