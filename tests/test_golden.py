@@ -8,9 +8,10 @@ that includes the over-cap ``A9``, and of ``poset --flags --rank-select
 colored subset poset of 3 points and 2 colors with a top adjoined
 (``colored.json``), and of ``nc`` on exceptional, dihedral and type D
 lines and ``words d 12``, recorded before those polynomials were
-derived from the Coxeter degrees and the word recurrence.  Default
-output must not change, so
-any difference is a regression.
+derived from the Coxeter degrees and the word recurrence, and of
+``ant --colored`` at 2, 3 and 1000 colors (n = 9, 12 and 20), recorded
+while the colored enumerator still read memoized unpacked rows.
+Default output must not change, so any difference is a regression.
 """
 
 import json
