@@ -16,12 +16,15 @@ test against.  All three fast recurrences are one transfer step,
 each coefficient sits in a slot of fixed width, so multiplying by x is a
 shift and adding two polynomials is one int addition.  Each recurrence
 sizes its slots from a proved bound on every coefficient it forms:
-(n+1)! for the first-letter rows and r^n for words, taken from bit
+(n+1)! for the first-letter rows, r^n (n+1)^n when the colored
+enumerator sums them with weights, and r^n for words, taken from bit
 lengths without forming the bound itself.  Rows are unpacked into
 coefficients, and ``Poly`` objects built, only where a result leaves the
-recurrence.  A determinant formula (an O(r^2) Hessenberg recurrence in
-integers) and the exact mean and variance of the descent statistic round
-out the module.  All arithmetic is exact.
+recurrence; the flag beta of ``simplicial`` reads its descent classes
+straight off the packed row, as top coefficients.  A determinant
+formula (an O(r^2) Hessenberg recurrence in integers) and the exact
+mean and variance of the descent statistic round out the module.  All
+arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -97,14 +100,16 @@ def _unpack(v: int, width: int, length: int) -> list:
     return [(v >> (width * i)) & mask for i in range(length)]
 
 
-def _packed_first_letter_row(n: int, allowed: frozenset) -> tuple:
+def _packed_first_letter_row(n: int, allowed: frozenset, r: int = 1) -> tuple:
     """The first-letter row packed, and the slot width.
 
     An entry counts permutations of at most n+1 letters, and so does the
-    sum of the row, so no coefficient exceeds (n+1)! <= (n+1)^n: that
-    bounds the slots.
+    sum of the row, so no coefficient exceeds (n+1)! <= (n+1)^n.  The
+    slots hold (r(n+1))^n, so a sum of entries with nonnegative integer
+    weights that counts at most that many objects unpacks exactly too;
+    r = 1 gives the plain bound.
     """
-    width = _slot_width(n, n + 1)
+    width = _slot_width(n, r * (n + 1))
     row = [1]
     for m in range(1, n + 1):
         # positions relevant at length m are the original ones shifted
@@ -112,18 +117,6 @@ def _packed_first_letter_row(n: int, allowed: frozenset) -> tuple:
         head = _X if 1 + n - m in allowed else _ZERO
         row = _transfer(row, head, _ONE, width)
     return row, width
-
-
-@lru_cache(maxsize=None)
-def _first_letter_rows(n: int, allowed: frozenset) -> tuple:
-    """The first-letter row as integer coefficient tuples of one length.
-
-    ``allowed`` must lie inside 1..n already: the callers check it, before
-    the memo, which would take True for 1.
-    """
-    row, width = _packed_first_letter_row(n, allowed)
-    # one slot more for each step that multiplies by x
-    return tuple(tuple(_unpack(p, width, 1 + len(allowed))) for p in row)
 
 
 def first_letter_descent_polynomials(n: int, allowed: frozenset) -> tuple:
@@ -137,7 +130,10 @@ def first_letter_descent_polynomials(n: int, allowed: frozenset) -> tuple:
     """
     if type(n) is not int or n < 0:
         raise DomainError("n must be a nonnegative integer")
-    return tuple(Poly(p) for p in _first_letter_rows(n, _position_set(allowed, n)))
+    t = _position_set(allowed, n)
+    row, width = _packed_first_letter_row(n, t)
+    # one slot more for each step that multiplies by x
+    return tuple(Poly(_unpack(p, width, 1 + len(t))) for p in row)
 
 
 def descent_enumerator(n: int, allowed: Iterable) -> Poly:
@@ -165,14 +161,18 @@ def colored_descent_enumerator(n: int, r: int, allowed: Iterable) -> Poly:
     h-polynomial (1+(r-1)x)^n, so the enumerator is the h-weighted sum
     of the first-letter row at the reflected position set
     {n+1-i : i in allowed}.  The brute-force companion checks this.
+
+    The weighted sum is formed on the packed row and unpacked once.  The
+    weights are nonnegative, so every partial sum counts at most the
+    r^n n! colored permutations, and r^n n! <= (r(n+1))^n: each partial
+    sum fits the slots of the row built for r colors.
     """
     if type(n) is not int or n < 0 or type(r) is not int or r < 1:
         raise DomainError("need n >= 0 and r >= 1")
     t = _position_set(allowed, n)
-    reflected = frozenset(n + 1 - a for a in t)
-    row = _first_letter_rows(n, reflected)
-    weights = [math.comb(n, k) * (r - 1) ** k for k in range(n + 1)]
-    return Poly([sum(w * c for w, c in zip(weights, col)) for col in zip(*row)])
+    row, width = _packed_first_letter_row(n, frozenset(n + 1 - a for a in t), r)
+    total = sum(math.comb(n, k) * (r - 1) ** k * p for k, p in enumerate(row))
+    return Poly(_unpack(total, width, 1 + len(t)))
 
 
 def _letter_descent_masks(n: int):

@@ -524,9 +524,9 @@ def load_poset(path: str):
     if ranks is not None:
         if not isinstance(ranks, dict):
             raise PosetFileError('"ranks" must be an object')
-        # int() would read true/false as 1/0 and truncate 1.9 to 1
-        if any(
-            isinstance(v, bool) or isinstance(v, float) and not v.is_integer()
+        # int() would read "1_0" as 10, true/false as 1/0 and 1.9 as 1
+        if not all(
+            type(v) is int or type(v) is float and v.is_integer()
             for v in ranks.values()
         ):
             raise PosetFileError('"ranks" values must be integers')
@@ -539,8 +539,6 @@ def load_poset(path: str):
             ranks = {index[k]: int(v) for k, v in ranks.items()}
         except KeyError as exc:
             raise PosetFileError("rank given for unknown element %s" % exc) from None
-        except (TypeError, ValueError, OverflowError):
-            raise PosetFileError('"ranks" values must be integers') from None
     try:
         try:
             poset = GradedBoundedPoset(elements, cover_pairs)

@@ -9,8 +9,8 @@ one vertex at a time.  For such posets of rank n the h-vector comes from
 the level counts, and the flag beta vector factors through descent
 classes of permutations of n+1 letters: beta(S) equals the sum over k of
 h_k times the number of w in S_(n+1) with last letter k+1 whose ascent
-set is exactly S.  Those classes come from the first-letter rows of
-``descents`` and the subset Moebius transform of ``posets``.
+set is exactly S.  Each class is the top coefficient of an entry of one
+packed first-letter row of ``descents``.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ import weakref
 from itertools import combinations, product
 from typing import Iterable
 
-from .descents import _first_letter_rows
+from .descents import _packed_first_letter_row
 from .errors import DomainError, GradedStructureError
 from .polynomials import Poly, h_from_f
-from .posets import GradedBoundedPoset, _bits, _moebius
+from .posets import GradedBoundedPoset, _bits
 
 
 def boolean_lattice(n: int) -> GradedBoundedPoset:
@@ -155,9 +155,11 @@ def stanley_flag_beta(poset: GradedBoundedPoset, s: Iterable) -> int:
 
     beta(S) sums h_k times the number of w in S_(n+1) with last letter
     k+1 and ascent set S.  Reversing w makes the last letter the first
-    and an ascent at i a descent at n+1-i, so these classes are the
-    first-letter rows at x = 1: summed over descent sets inside each
-    T contained in S' = {n+1-i : i in S}, then Moebius-inverted over T.
+    and an ascent at i a descent at n+1-i.  A permutation with descent
+    set inside S' = {n+1-i : i in S} and |S'| descents has descent set
+    exactly S', so each class is the coefficient of x^|S'|, the top
+    slot, in an entry of the first-letter row at S'.  The classes are
+    counts, read before the h-weighting, so a negative h_k is safe.
     """
     n = poset.rank
     s = frozenset(s)
@@ -166,10 +168,6 @@ def stanley_flag_beta(poset: GradedBoundedPoset, s: Iterable) -> int:
     if not is_simplicial(poset):
         raise DomainError("poset is not simplicial")
     h = simplicial_h(poset).coeffs
-    reflected = sorted(n + 1 - r for r in s)
-    table = []
-    for mask in range(1 << len(reflected)):
-        t = frozenset(a for k, a in enumerate(reflected) if (mask >> k) & 1)
-        rows = _first_letter_rows(n, t)
-        table.append(sum(hk * sum(row) for hk, row in zip(h, rows)))
-    return _moebius(table)[-1]
+    row, width = _packed_first_letter_row(n, frozenset(n + 1 - r for r in s))
+    top = width * len(s)
+    return sum(hk * (p >> top) for hk, p in zip(h, row))

@@ -92,7 +92,6 @@ def test_poset_constructors_take_elements_and_covers():
 MEMOS = [
     "chainpoly.coxeter.nc_h_formula",
     "chainpoly.descents._colored_descent_distribution",
-    "chainpoly.descents._first_letter_rows",
     "chainpoly.realroots.real_rootedness",
 ]
 

@@ -122,7 +122,7 @@ def test_descents_reject_bools():
     ):
         with pytest.raises(DomainError):
             call()
-    # the memo holds the row of (1, {1}), and True must not reach it
+    # (1, {1}) is valid; True in place of either 1 is not
     assert first_letter_descent_polynomials(1, {1}) == (Poly([1]), Poly([0, 1]))
     with pytest.raises(DomainError):
         first_letter_descent_polynomials(True, {1})
@@ -172,6 +172,18 @@ def test_packed_enumerators_match_list_route(r):
         colored = colored_descent_enumerator(n, r, t)
         assert colored == colored_descent_enumerator_oracle(n, r, t), sorted(t)
     assert max(colored.coeffs).bit_length() > 256
+
+
+def test_colored_enumerator_where_colors_dominate_the_slots():
+    # r^n dwarfs (n+1)! here, so the slots must be sized by r too; the
+    # word enumerators above would build r-long lists
+    r = 2 ** 64 + 1
+    for n in (0, 1, 20):
+        for t in (frozenset(range(1, n + 1)), frozenset(range(2, n, 3))):
+            colored = colored_descent_enumerator(n, r, t)
+            assert colored == colored_descent_enumerator_oracle(n, r, t), (n, sorted(t))
+    assert colored_descent_enumerator(1, r, {1}) == Poly([1, r - 1])
+    assert max(colored.coeffs).bit_length() > 1024
 
 
 def test_signed_enumerator_matches_column_oracle():

@@ -449,13 +449,14 @@ def test_load_poset_errors(tmp_path):
     huge_rank.write_text('{"elements": ["e"], "covers": [], "ranks": {"e": 1e400}}')
     with pytest.raises(PosetFileError):
         load_poset(str(huge_rank))
-    for ranks in ('{"e": 0, "a": 1.9}', '{"e": 0.4, "a": 1.9}'):
-        fractional = tmp_path / "fractional_rank.json"
-        fractional.write_text(
+    # strings are not ranks either, although int() reads "0" and "1_0"
+    for ranks in ('{"e": 0, "a": 1.9}', '{"e": 0.4, "a": 1.9}', '{"e": "0", "a": 1}'):
+        bad_rank = tmp_path / "bad_rank.json"
+        bad_rank.write_text(
             '{"elements": ["e", "a"], "covers": [["e", "a"]], "ranks": %s}' % ranks
         )
         with pytest.raises(PosetFileError):
-            load_poset(str(fractional))
+            load_poset(str(bad_rank))
     # JSON booleans are not ranks, although int() reads them as 0 and 1
     boolean = tmp_path / "boolean_rank.json"
     boolean.write_text(
