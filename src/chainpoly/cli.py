@@ -443,8 +443,7 @@ def _render(rep: Report, code: int, as_json: bool, batch: bool = False):
         return _render(err, 3, as_json, batch)
 
 
-def _run_batch(path: str) -> int:
-    parser = build_parser()
+def _run_batch(parser: argparse.ArgumentParser, path: str) -> int:
     worst = 0
     try:
         # bytes, so that an undecodable line fails on its own
@@ -487,7 +486,7 @@ def main(argv=None) -> int:
     if ns.batch is not None:
         if ns.command is not None:
             parser.error("--batch replaces the subcommand")
-        return _run_batch(ns.batch)
+        return _run_batch(parser, ns.batch)
     if ns.command is None:
         parser.print_usage(sys.stderr)
         return 2

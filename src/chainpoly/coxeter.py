@@ -30,11 +30,12 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations, permutations, product
+from operator import mul
 from typing import Optional, Tuple
 
 from .descents import signed_word_descent_enumerator, word_descent_enumerator
 from .errors import DomainError, ResourceLimitError
-from .polynomials import Poly, f_from_h, veronese
+from .polynomials import _MEMO_SIZE, Poly, f_from_h, veronese
 from .posets import GradedBoundedPoset
 
 DEFAULT_GROUP_ORDER_CAP = 50000
@@ -188,11 +189,12 @@ class ReflectionGroup:
         """Every signed permutation of the family, sorted: no signs for A,
         any signs for B, an even number of negative entries for D."""
         n, fam = self.degree, self.coxeter_type.family
-        signs = [(1,) * n] if fam == "A" else product((1, -1), repeat=n)
+        if fam == "A":  # permutations come in lexicographic order
+            return tuple(permutations(range(1, n + 1)))
         return tuple(sorted(
-            tuple(e * v for e, v in zip(s, w))
-            for s in signs
-            if fam != "D" or s.count(-1) % 2 == 0
+            tuple(map(mul, s, w))
+            for s in product((1, -1), repeat=n)
+            if fam == "B" or s.count(-1) % 2 == 0
             for w in permutations(range(1, n + 1))
         ))
 
@@ -286,7 +288,7 @@ def noncrossing_lattice(
     return GradedBoundedPoset._from_pairs(elements, pairs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def nc_h_formula(t: CoxeterType) -> Poly:
     """Order h-polynomial of the proper part of the noncrossing lattice,
     by closed formula.
@@ -332,13 +334,11 @@ def _h_from_degrees(degrees: tuple) -> Poly:
 def nc_chain_polynomial(t: CoxeterType) -> Poly:
     """Chain polynomial of the full bounded noncrossing lattice.
 
-    Chains of the proper part extend by the bottom and top elements
-    independently, hence the (1+x)^2 factor in front of the proper-part
-    chain polynomial recovered from the h-polynomial.
+    The proper part has f_from_h(h, rank - 1); its chains extend by the
+    bottom and top independently, a factor (1+x)^2, and
+    (1+x)^2 f_from_h(h, m) = f_from_h(h, m + 2).
     """
-    h = nc_h_formula(t)
-    proper = f_from_h(h, t.rank - 1)
-    return Poly([1, 2, 1]) * proper
+    return f_from_h(nc_h_formula(t), t.rank + 1)
 
 
 def _window_sums(cs: list, r: int, times: int) -> list:

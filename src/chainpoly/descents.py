@@ -21,10 +21,10 @@ enumerator sums them with weights, and r^n for words, taken from bit
 lengths without forming the bound itself.  Rows are unpacked into
 coefficients, and ``Poly`` objects built, only where a result leaves the
 recurrence; the flag beta of ``simplicial`` reads its descent classes
-straight off the packed row, as top coefficients.  A determinant
-formula (an O(r^2) Hessenberg recurrence in integers) and the exact
-mean and variance of the descent statistic round out the module.  All
-arithmetic is exact.
+straight off the packed row, as top coefficients.  Gessel's determinant
+formula, the independent cross-check, runs on packed ints too, in the
+basis y = x - 1.  The exact mean and variance of the descent statistic
+round out the module.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from operator import mul, sub
 from typing import Iterable
 
 from .errors import DomainError, ResourceLimitError
-from .polynomials import ONE, Poly
+from .polynomials import _MEMO_SIZE, ONE, Poly, _binomial_transform, _slot_width, _unpack
 
 DEFAULT_COLORED_CAP = 10 ** 7
 
@@ -57,16 +57,6 @@ def _position_set(allowed: Iterable, n: int) -> frozenset:
 
 # Weights of the transfer step, as the power of x they stand for; None is 0.
 _ZERO, _ONE, _X = None, 0, 1
-
-
-def _slot_width(n: int, r: int) -> int:
-    """Bits of a slot that holds every integer from 0 to 2 r^n.
-
-    With b the bit length of r, r < 2^b and so 2 r^n < 2^(nb + 1).  Only
-    bit lengths are formed, never r^n: on a huge r the caller's list of
-    r entries must be what fails, and at once.
-    """
-    return n * r.bit_length() + 1
 
 
 def _transfer(row: list, head, tail, width: int) -> list:
@@ -92,12 +82,6 @@ def _transfer(row: list, head, tail, width: int) -> list:
         return list(accumulate(row, sub, initial=cur))
     a, b = width * head, width * tail
     return list(accumulate(((p << a) - (p << b) for p in row), initial=cur))
-
-
-def _unpack(v: int, width: int, length: int) -> list:
-    """The lowest ``length`` slots of a packed polynomial, lowest first."""
-    mask = (1 << width) - 1
-    return [(v >> (width * i)) & mask for i in range(length)]
 
 
 def _packed_first_letter_row(n: int, allowed: frozenset, r: int = 1) -> tuple:
@@ -185,7 +169,7 @@ def _letter_descent_masks(n: int):
         yield mask
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _colored_descent_distribution(n: int, r: int) -> Counter:
     """Map descent-set bitmask (position i+1 as bit i) -> count over all
     r-colored permutations of n letters.
@@ -291,12 +275,6 @@ def signed_word_descent_enumerator(n: int) -> Poly:
     return Poly(_unpack(2 * longer + shorter - (shorter << width), width, n))
 
 
-def _binom(a: int, b: int) -> int:
-    if b < 0 or b > a or a < 0:
-        return 0
-    return math.comb(a, b)
-
-
 def determinant_descent_enumerator(n: int, allowed: Iterable) -> Poly:
     """The restricted descent polynomial through the determinant formula.
 
@@ -306,26 +284,28 @@ def determinant_descent_enumerator(n: int, allowed: Iterable) -> Poly:
     reversal of the enumerator.  The matrix is upper Hessenberg, so its
     leading minors D_k obey a recurrence, and E_k = a_k! D_k stays
     integral: E_0 = 1 and
-    E_(k+1) = sum over i <= k of C(a_(k+1), a_i) (x-1)^(k-i) E_i,
-    with E_(r+1) = n! det.  That is O(r^2) products of integer
-    polynomials.  At n = 0 the recurrence gives 1, as the direct
-    enumerator does.
+    E_(k+1) = sum over i <= k of C(a_(k+1), a_i) y^(k-i) E_i in the
+    basis y = x - 1, with E_(r+1) = n! det.  There every E_k and partial
+    sum has nonnegative coefficients, at most E_k(y = 1), which is
+    2^(k-1) A(1/2) <= 2^n n! <= (2n)^n for the enumerator A that E_k
+    reverses.  So E runs packed in slots for (2n)^n, y being a shift, and
+    the enumerator x^r E(1/x - 1) is one binomial transform.  At n = 0
+    the recurrence gives 1, as the direct enumerator does.
     """
     if type(n) is not int or n < 0:
         raise DomainError("n must be a nonnegative integer")
     t = sorted(_position_set(allowed, n - 1))
     a = [0] + t + [n]
     r = len(t)
-    powers = [ONE]
-    for _ in range(r):
-        powers.append(powers[-1] * Poly([-1, 1]))
-    minors = [ONE]
+    width = _slot_width(n, 2 * n)
+    minors = [1]
     for k in range(r + 1):
-        acc = Poly()
-        for i in range(k + 1):
-            acc = acc + (powers[k - i] * minors[i]).scale(_binom(a[k + 1], a[i]))
-        minors.append(acc)
-    return minors[-1].reverse(r)
+        minors.append(sum(
+            math.comb(a[k + 1], a[i]) * (minors[i] << width * (k - i))
+            for i in range(k + 1)
+        ))
+    e = _unpack(minors[-1], width, r + 1)
+    return Poly(_binomial_transform(e[::-1], r, -1))
 
 
 def expected_descents(n: int, allowed: Iterable) -> Fraction:
@@ -342,7 +322,7 @@ def expected_descents(n: int, allowed: Iterable) -> Fraction:
     c = [a[i + 1] - a[i] for i in range(len(a) - 1)]
     r = len(t)
     return Fraction(r) - sum(
-        Fraction(1, _binom(c[i] + c[i + 1], c[i])) for i in range(r)
+        Fraction(1, math.comb(c[i] + c[i + 1], c[i])) for i in range(r)
     )
 
 

@@ -8,9 +8,9 @@ No floating point enters any computation here.
 
 Besides ring arithmetic the module provides the coefficient-level
 operations used by the combinatorial layers: reversal x^n p(1/x), the
-r-th Veronese section (every r-th coefficient), the f/h transforms, and
-the shape predicates (symmetry, unimodality, log-concavity, mode) that
-the certification reports quote.
+r-th Veronese section (every r-th coefficient), the f/h transforms, the
+slots of polynomials packed into ints, and the shape predicates
+(symmetry, unimodality, log-concavity, mode) the reports quote.
 
 The remainder sequence behind every certificate in realroots runs on
 plain integer coefficient lists.  Its inputs are cleared of denominators
@@ -30,6 +30,8 @@ from typing import Iterable, Optional, Union
 from .errors import DomainError, InvalidDegreeError
 
 Scalar = Union[int, Fraction]
+
+_MEMO_SIZE = 1024  # entries per functools memo: bounded memory in batch runs
 
 
 def _as_scalar(value) -> Scalar:
@@ -277,6 +279,23 @@ def _remainder_sequence(f0: list, f1: list) -> list:
             g = math.gcd(*rem)
             chain.append([c // -g for c in rem])
     return chain
+
+
+def _slot_width(n: int, r: int) -> int:
+    """Bits of a slot that holds every integer from 0 to 2 r^n.
+
+    With b the bit length of r, r < 2^b and so 2 r^n < 2^(nb + 1).  Only
+    bit lengths are formed, never r^n: on a huge r the caller's list of
+    r entries must be what fails, and at once.
+    """
+    return n * r.bit_length() + 1
+
+
+def _unpack(v: int, width: int, length: int) -> list:
+    """The lowest ``length`` slots of a polynomial packed into an int
+    (Kronecker substitution), lowest first."""
+    mask = (1 << width) - 1
+    return [(v >> (width * i)) & mask for i in range(length)]
 
 
 def _binomial_transform(cs: list, n: int, sign: int) -> list:

@@ -32,7 +32,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DomainError, GradedStructureError, PosetFileError
-from .polynomials import Poly, h_from_f
+from .polynomials import Poly, _unpack, h_from_f
 
 
 def _bits(mask: int):
@@ -280,12 +280,7 @@ def chain_polynomial(poset: Poset) -> Poly:
             acc += c[j]
         c[i] = acc << width
         total += c[i]
-    slot = (1 << width) - 1
-    coeffs = []
-    while total:
-        coeffs.append(total & slot)
-        total >>= width
-    return Poly(coeffs)
+    return Poly(_unpack(total, width, max(size, default=0) + 1))
 
 
 def order_h_polynomial(poset: Poset) -> Poly:

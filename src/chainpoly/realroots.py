@@ -55,6 +55,7 @@ from typing import Sequence
 
 from .errors import NotRealRootedError
 from .polynomials import (
+    _MEMO_SIZE,
     Poly,
     _binomial_transform,
     _exact_quotient,
@@ -101,7 +102,7 @@ def _spans_one(cs: list) -> bool:
     return 8 * min(max(r), -min(r)) >= 3 * d
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def real_rootedness(p: Poly) -> RealRootedness:
     """Decide real-rootedness exactly and return the Sturm certificate.
 

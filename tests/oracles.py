@@ -24,6 +24,10 @@ The chain-count oracle counts chains by size with plain ints and the
 order comparison ``less`` on every pair, where the package packs whole
 polynomials into one int and walks up-set bitmasks.
 
+The determinant oracle runs Gessel's Hessenberg recurrence as products
+of ``Poly`` objects in the basis x, where the package packs each minor
+into one int in the basis y = x - 1.
+
 The type-D chain counts come from a composition formula, independent of
 both the lattice and the h-polynomial formula route.
 
@@ -176,6 +180,25 @@ def signed_word_columns_oracle(n: int, k: int) -> tuple:
     for _ in range(k - 2):
         cols = transfer_oracle(cols, 0, 1)[: n - 1]
     return tuple(Poly(c) for c in cols)
+
+
+def determinant_descent_enumerator_oracle(n: int, allowed) -> Poly:
+    """Gessel's determinant by its Hessenberg recurrence over ``Poly``:
+    E_0 = 1, E_(k+1) = sum over i <= k of C(a_(k+1), a_i) (x-1)^(k-i) E_i,
+    and the enumerator is E_(r+1) reversed at degree r."""
+    t = sorted(a for a in allowed if a <= n - 1)
+    a = [0] + t + [n]
+    r = len(t)
+    powers = [ONE]
+    for _ in range(r):
+        powers.append(powers[-1] * Poly([-1, 1]))
+    minors = [ONE]
+    for k in range(r + 1):
+        acc = ZERO
+        for i in range(k + 1):
+            acc = acc + (powers[k - i] * minors[i]).scale(math.comb(a[k + 1], a[i]))
+        minors.append(acc)
+    return minors[-1].reverse(r)
 
 
 def inverse(u: tuple) -> tuple:

@@ -7,6 +7,10 @@ import inspect
 import pkgutil
 
 import chainpoly
+from chainpoly.coxeter import nc_h_formula
+from chainpoly.descents import _colored_descent_distribution
+from chainpoly.polynomials import _MEMO_SIZE
+from chainpoly.realroots import real_rootedness
 
 PUBLIC_NAMES = [
     "CoxeterType",
@@ -106,6 +110,19 @@ def test_memos_are_pinned():
                 if hasattr(fn, "cache_info") and fn.__module__ == module.__name__:
                     found.add("%s.%s" % (fn.__module__, fn.__qualname__))
     assert sorted(found) == MEMOS
+
+
+def test_memos_stay_bounded():
+    # memory stays bounded in long batch runs, whatever the inputs
+    calls = [
+        (nc_h_formula, lambda m: (chainpoly.CoxeterType("I2", m),)),
+        (_colored_descent_distribution, lambda m: (0, m)),
+        (real_rootedness, lambda m: (chainpoly.Poly([m, 1]),)),
+    ]
+    for memo, args in calls:
+        for m in range(3, _MEMO_SIZE + 200):
+            memo(*args(m))
+        assert memo.cache_info().currsize <= _MEMO_SIZE, memo.__name__
 
 
 def test_coxeter_imports_no_certification():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -719,13 +720,16 @@ def test_console_script_entry():
 field_text = st.text(alphabet="0123456789,-/ ²①٣", max_size=12)
 
 
-def _exit_code(argv):
+def _run_main(argv):
+    """The exit code and stdout of main(argv); stderr holds no traceback."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            return main(argv)
+            code = main(argv)
         except SystemExit as exc:  # an argparse usage error
-            return exc.code
+            code = exc.code
+    assert "Traceback" not in err.getvalue(), argv
+    return code, out.getvalue()
 
 
 @given(field_text, field_text)
@@ -738,4 +742,64 @@ def test_text_fields_never_crash(t, p):
         ["certify", "1,2,1", "--interlaces", p],
         ["certify", p, "--symdec", "3"],
     ):
-        assert _exit_code(argv) in (0, 1, 2, 3), argv
+        assert _run_main(argv)[0] in (0, 1, 2, 3), argv
+
+
+small = st.sampled_from(["0", "1", "2", "3", "5", "-1", "x", "", "1.5", "٣", "1e3"])
+positions = st.sampled_from(["-", "1", "1,2", "2,4", "3,1", "0", "1,,2", "a", ""])
+polys = st.sampled_from(["1,2,1", "1,3,1", "1,0,1", "1/2,1", "1,-2", "0", "1/0", "x", ""])
+POSITIONALS = {
+    "ant": [small, positions],
+    "nc": [st.sampled_from(["A3", "B2", "D4", "I2:5", "H3", "E8", "A0", "Q7", "I2:x"])],
+    "poset": [st.sampled_from([SQUARE, "no-such-file.json", ""])],
+    "certify": [polys],
+    "words": [st.sampled_from(["e", "etilde", "d", "f"]), small, small],
+    "antt": [],
+}
+flag = st.one_of(
+    st.sampled_from(["--json", "--timing", "--brute", "--gessel", "--oracle",
+                     "--symdec", "--flags", "--certify", "--bogus", "--batch"]).map(
+        lambda f: [f]
+    ),
+    st.tuples(
+        st.sampled_from(["--colored", "--max-enum", "--max-elements", "--symdec",
+                         "--rank-select", "--interlaces"]),
+        st.one_of(small, positions, polys),
+    ).map(list),
+)
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand, its positionals (now and then too few), and random
+    flags."""
+    command = draw(st.sampled_from(sorted(POSITIONALS)))
+    args = [draw(s) for s in POSITIONALS[command]]
+    if draw(st.booleans()):
+        args = args[:draw(st.integers(0, len(args)))]
+    return [command] + args + sum(draw(st.lists(flag, max_size=4)), [])
+
+
+@given(argvs())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_argv_keeps_the_exit_contract(argv):
+    assert _run_main(argv)[0] in (0, 1, 2, 3), argv
+
+
+bad_lines = st.sampled_from(
+    [b"not json", b"[1, 2]", b'{"a": 1}', b'["--batch", "x"]', b"[]", b"", b"\xff["]
+)
+
+
+@given(st.lists(st.one_of(argvs().map(lambda a: json.dumps(a).encode()), bad_lines),
+                max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_fuzzed_batch_keeps_the_exit_contract(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "batch.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(b"\n".join(lines))
+        code, out = _run_main(["--batch", path])
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == max([r["exit"] for r in records], default=0)
+    assert code in (0, 1, 2, 3)

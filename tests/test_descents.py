@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainpoly import (
@@ -25,9 +25,11 @@ from chainpoly import (
     word_ascent_enumerator,
     word_descent_enumerator,
 )
-from chainpoly.descents import _ONE, _X, _ZERO, _transfer, _unpack
+from chainpoly.descents import _ONE, _X, _ZERO, _transfer
+from chainpoly.polynomials import _unpack
 from oracles import (
     colored_descent_enumerator_oracle,
+    determinant_descent_enumerator_oracle,
     first_letter_rows_oracle,
     signed_word_columns_oracle,
     signed_word_descent_enumerator_bruteforce,
@@ -403,6 +405,22 @@ def test_determinant_enumerator_at_scale():
         det = determinant_descent_enumerator(n, t)
         assert det == descent_enumerator(n, t), sorted(t)
         assert all(type(c) is int for c in det.coeffs)
+
+
+descent_classes = st.integers(0, 60).flatmap(
+    lambda n: st.tuples(st.just(n), st.frozensets(st.integers(1, max(n - 1, 1))))
+)
+
+
+@given(descent_classes)
+@example((60, frozenset()))
+@example((60, frozenset(range(1, 60))))
+@settings(max_examples=60, deadline=None)
+def test_determinant_enumerator_matches_poly_route(case):
+    # the packed recurrence in y = x - 1 against Poly products in x
+    n, t = case
+    det = determinant_descent_enumerator(n, t)
+    assert det == determinant_descent_enumerator_oracle(n, t), (n, sorted(t))
 
 
 def test_expected_descents_hand_values():
