@@ -10,7 +10,11 @@ colored subset poset of 3 points and 2 colors with a top adjoined
 lines and ``words d 12``, recorded before those polynomials were
 derived from the Coxeter degrees and the word recurrence, and of
 ``ant --colored`` at 2, 3 and 1000 colors (n = 9, 12 and 20), recorded
-while the colored enumerator still read memoized unpacked rows.
+while the colored enumerator still read memoized unpacked rows, and
+of ``poset --flags`` on a one-element poset (``point.json``), a chain
+of 12 elements (``chain12.json``) and the Boolean lattice of rank 6
+with a top adjoined (``boolean6.json``), recorded while the flag table
+was still a depth-first walk over rank subsets.
 Default output must not change, so any difference is a regression.
 """
 
