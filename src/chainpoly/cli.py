@@ -32,6 +32,7 @@ from .coxeter import (
     noncrossing_lattice,
 )
 from .descents import (
+    DEFAULT_COLORED_CAP,
     colored_descent_enumerator,
     colored_descent_enumerator_bruteforce,
     descent_enumerator,
@@ -45,6 +46,7 @@ from .errors import DomainError, GradedStructureError, ResourceLimitError
 from .polynomials import (
     Poly,
     format_poly,
+    has_nonneg_coeffs,
     is_log_concave,
     is_unimodal,
     mode,
@@ -60,8 +62,6 @@ from .posets import (
 )
 from .realroots import interlaces, is_real_rooted
 from .symdecomp import symmetric_decomposition
-
-DEFAULT_MAX_ENUM = 10 ** 7
 
 
 def parse_descent_set(text: str) -> frozenset:
@@ -144,7 +144,7 @@ def _certification_lines(rep: Report, p: Poly) -> bool:
     rep.add("real-rooted", ok)
     rep.add("unimodal", is_unimodal(p))
     rep.add("log-concave", is_log_concave(p))
-    nonneg = all(c >= 0 for c in p.coeffs) and not p.is_zero
+    nonneg = has_nonneg_coeffs(p) and not p.is_zero
     rep.add("mode", mode(p) if nonneg else None)
     return ok
 
@@ -164,6 +164,8 @@ def cmd_ant(ns, rep: Report) -> int:
     t = parse_descent_set(ns.t)
     if ns.colored is not None and ns.colored < 1:
         raise DomainError("color count must be >= 1")
+    if ns.colored is not None and ns.gessel:
+        raise DomainError("--gessel applies to the uncolored enumerator")
     if ns.brute:
         p = colored_descent_enumerator_bruteforce(
             ns.n, ns.colored or 1, t, max_enum=ns.max_enum
@@ -182,8 +184,6 @@ def cmd_ant(ns, rep: Report) -> int:
         rep.add("mu", expected_descents(ns.n, t) if ns.n >= 1 else Fraction(0))
     code = 0
     if ns.gessel:
-        if ns.colored is not None:
-            raise DomainError("--gessel applies to the uncolored enumerator")
         match = determinant_descent_enumerator(ns.n, t) == p
         rep.add("gessel", "match" if match else "mismatch")
         if not match:
@@ -198,26 +198,22 @@ def cmd_nc(ns, rep: Report) -> int:
         group = build_reflection_group(t, max_order=ns.max_elements)
     h, chain = nc_h_formula(t), nc_chain_polynomial(t)
     peaks, expected = unimodal_peaks(h), t.rank // 2
-    # the lines go to rep only once every value is computed, so that a
-    # failure leaves only the error line
-    lines = Report()
-    lines.add("coefficients", h)
-    lines.add("type", str(t))
-    lines.add("rank", t.rank)
-    lines.add("chain", chain)
+    rep.add("coefficients", h)
+    rep.add("type", str(t))
+    rep.add("rank", t.rank)
+    rep.add("chain", chain)
     real_rooted = is_real_rooted(h)
-    lines.add("real-rooted", real_rooted)
+    rep.add("real-rooted", real_rooted)
     # chain = (1+x)^2 f_from_h(h, rank-1), whose roots are -1 and the
     # images of h's roots under the real Moebius map y -> y/(1-y)
-    lines.add("chain-real-rooted", real_rooted)
-    lines.add("unimodal", bool(peaks))  # h has constant term 1
-    lines.add("peaks", peaks)
-    lines.add("expected-peak", expected)
-    lines.add("peak-ok", expected in peaks)
-    lines.add("veronese-identity", nc_reversed_h_identity(t))
+    rep.add("chain-real-rooted", real_rooted)
+    rep.add("unimodal", bool(peaks))  # h has constant term 1
+    rep.add("peaks", peaks)
+    rep.add("expected-peak", expected)
+    rep.add("peak-ok", expected in peaks)
+    rep.add("veronese-identity", nc_reversed_h_identity(t))
     if ns.symdec:
-        _symdec_lines(lines, h, t.rank - 1)
-    rep.entries += lines.entries
+        _symdec_lines(rep, h, t.rank - 1)
     code = 0
     if ns.oracle:
         match = chain_polynomial(noncrossing_lattice(group)) == chain
@@ -336,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-enum",
         type=int,
-        default=DEFAULT_MAX_ENUM,
+        default=DEFAULT_COLORED_CAP,
         help="cap on n! * r^n for --brute, r = 1 without --colored "
         "(default %(default)s)",
     )
@@ -411,7 +407,8 @@ COMMANDS = {
 
 
 def run_command(ns) -> tuple:
-    """Execute a parsed subcommand; returns (report, exit code)."""
+    """Execute a parsed subcommand; returns (report, exit code).  A failed
+    command reports only its error, whatever it added before failing."""
     rep = Report()
     start = time.perf_counter()
     try:
@@ -419,10 +416,10 @@ def run_command(ns) -> tuple:
     except (ResourceLimitError, OverflowError, MemoryError) as exc:
         # an OverflowError or MemoryError is a size past what Python can
         # index or allocate; a failed allocation carries no message
-        rep.add("error", str(exc) or "out of memory")
+        rep.entries = [("error", str(exc) or "out of memory")]
         code = 3
     except DomainError as exc:
-        rep.add("error", str(exc))
+        rep.entries = [("error", str(exc))]
         code = 2
     if getattr(ns, "timing", False):
         rep.add("time-ms", round((time.perf_counter() - start) * 1000.0, 3))

@@ -293,7 +293,13 @@ def _slot_width(n: int, r: int) -> int:
 
 def _unpack(v: int, width: int, length: int) -> list:
     """The lowest ``length`` slots of a polynomial packed into an int
-    (Kronecker substitution), lowest first."""
+    (Kronecker substitution), lowest first.  Past 64 slots the int is
+    cut in halves first: L slots of w bits cost O(L w log L), not the
+    O(L^2 w) of shifting the whole int for every slot."""
+    if length > 64:
+        half = length >> 1
+        low = v & ((1 << width * half) - 1)
+        return _unpack(low, width, half) + _unpack(v >> width * half, width, length - half)
     mask = (1 << width) - 1
     return [(v >> (width * i)) & mask for i in range(length)]
 

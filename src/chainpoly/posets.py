@@ -13,14 +13,19 @@ rank selection and flag vectors need.  Both are read off the covers:
 the ranks form a list indexed like the cover lists, filled in one walk
 in topological order.
 
-The chain polynomial sums x^(size) over all chains (totally ordered
-subsets, empty chain included), adding whole polynomials packed into
-ints.  The order h-polynomial is the standard binomial transform of its
-coefficients.  Rank selection keeps the elements whose rank lies in a
-chosen set and rebounds them between a virtual bottom and top; flag
-vectors count maximal chains of those selections (alpha, one table
-indexed by rank-subset bitmask) and their inclusion-exclusion transform
-(beta, one in-place subset Moebius transform of that table).
+The chain polynomial, the rank-selected h-polynomials and the flag
+alpha table are one chain sum over chains (totally ordered subsets,
+empty chain included): in topological order each kept element shifts
+the chains ending at it by its own number of slots of a packed int and
+pushes them to the kept elements of its up-set, one int addition adding
+whole polynomials.  One slot per element gives the chain polynomial,
+whose binomial transform is the order h-polynomial; one slot per element
+of the ranks in t gives the f-vector of the rank selection by t; and
+2^(r-1) slots at rank r put the chains through the ranks S in the slot
+of S's bitmask, alpha(S).  Beta, alpha's inclusion-exclusion transform,
+is one in-place subset Moebius transform of that table.  Rank selection
+as a poset keeps the elements whose rank lies in a chosen set and
+rebounds them between a virtual bottom and top.
 """
 
 from __future__ import annotations
@@ -254,16 +259,43 @@ class GradedBoundedPoset(Poset):
         return tuple(tuple(self._elements[i] for i in level) for level in self._levels)
 
 
+def _chain_width(n: int, h: int) -> int:
+    """Bits of a slot for a count of chains of one size among n elements,
+    none longer than h: C(n, k) bounds size k, growing up to k = n // 2."""
+    return math.comb(n, min(h, n // 2)).bit_length()
+
+
+def _chain_sum(poset: Poset, keep: int, shift: Sequence[int]) -> int:
+    """Sum of 2^(shift[e1] + ... + shift[ek]) over the chains e1 < ... < ek
+    of the elements in the bitmask keep, the empty chain giving 1.
+
+    In topological order each kept e shifts the chains ending at it by
+    shift[e] and pushes them to the kept elements of its strict up-set,
+    one int addition adding whole packed polynomials (Kronecker
+    substitution).  Pushing upward keeps the wide high slots of a
+    chain's int off the elements below its top.
+    """
+    up = poset._up
+    acc = [1] * len(poset)
+    total = 1
+    for i in poset._topo:
+        if keep >> i & 1:
+            v = acc[i] << shift[i]
+            total += v
+            above = up[i] & keep
+            while above:  # _bits inlined: this loop is the whole cost
+                low = above & -above
+                acc[low.bit_length() - 1] += v
+                above ^= low
+    return total
+
+
 def chain_polynomial(poset: Poset) -> Poly:
     """Sum of x^(number of elements) over all chains of the poset.
 
-    A pass in topological order finds the size H of a longest chain; a
-    pass in reverse sums the chains with minimum e, x * (1 + sum over the
-    strict up-set of e), as polynomials packed into ints of fixed slots
-    (Kronecker substitution), one int addition adding whole polynomials.
-    The coefficient of x^k counts chains of k among n elements: at most
-    C(n, k), 0 for k > H, and C(n, k) grows up to k = n // 2, so no count
-    fills more than the bits of C(n, min(H, n // 2)).
+    A pass in topological order finds the size H of a longest chain,
+    which bounds the degree and the slots; the chain sum, one slot per
+    element, is the polynomial packed into one int.
     """
     n = len(poset)
     size = [1] * n
@@ -271,16 +303,9 @@ def chain_polynomial(poset: Poset) -> Poly:
         for j in poset._succ[i]:
             if size[j] <= size[i]:
                 size[j] = size[i] + 1
-    width = math.comb(n, min(max(size, default=0), n // 2)).bit_length()
-    c = [0] * n
-    total = 1
-    for i in reversed(poset._topo):
-        acc = 1
-        for j in _bits(poset._up[i]):
-            acc += c[j]
-        c[i] = acc << width
-        total += c[i]
-    return Poly(_unpack(total, width, max(size, default=0) + 1))
+    h = max(size, default=0)
+    width = _chain_width(n, h)
+    return Poly(_unpack(_chain_sum(poset, (1 << n) - 1, [width] * n), width, h + 1))
 
 
 def order_h_polynomial(poset: Poset) -> Poly:
@@ -355,47 +380,6 @@ def rank_selected(poset: GradedBoundedPoset, t: Iterable) -> GradedBoundedPoset:
     return out
 
 
-def _alpha_table(poset: GradedBoundedPoset, ranks: Sequence[int]) -> list:
-    """alpha(S) for every S contained in the given rank list.
-
-    alpha(S) counts maximal chains of the rank selection by S: one
-    element from each rank in S, linearly ordered.  The table is indexed
-    by the bitmask of S, bit k standing for the k-th smallest rank.
-    """
-    ranks = sorted(set(ranks))
-    levels = [poset._levels[r] for r in ranks]
-    up = poset._up
-    masks = [sum(1 << i for i in level) for level in levels]
-    position = {i: k for level in levels for k, i in enumerate(level)}
-    table = [0] * (1 << len(ranks))
-    table[0] = 1
-    # DFS over subsets ordered by largest member; vec counts chains ending
-    # at each element of the last chosen rank.
-    link_cache = {}
-
-    def links(a: int, b: int) -> list:
-        """For each element of level a, the positions above it in level b."""
-        got = link_cache.get((a, b))
-        if got is None:
-            got = [[position[y] for y in _bits(up[x] & masks[b])] for x in levels[a]]
-            link_cache[(a, b)] = got
-        return got
-
-    def walk(mask: int, last: int, vec: list):
-        table[mask] = sum(vec)
-        for nxt in range(last + 1, len(ranks)):
-            new = [0] * len(levels[nxt])
-            for vx, above in zip(vec, links(last, nxt)):
-                if vx:
-                    for k in above:
-                        new[k] += vx
-            walk(mask | (1 << nxt), nxt, new)
-
-    for start in range(len(ranks)):
-        walk(1 << start, start, [1] * len(levels[start]))
-    return table
-
-
 def _moebius(table: list) -> list:
     """In-place subset Moebius transform of a bitmask-indexed table.
 
@@ -446,24 +430,34 @@ class FlagVectors:
 
 
 def flag_vectors(poset: GradedBoundedPoset) -> FlagVectors:
-    """Both flag vectors over every subset of proper ranks 1..n."""
-    n = poset.rank - 1
-    alpha = _alpha_table(poset, range(1, n + 1))
-    return FlagVectors(n, alpha, _moebius(list(alpha)))
+    """Both flag vectors over every subset of proper ranks 1..n.
+
+    Rank r shifts by width * 2^(r-1), so a chain through the ranks S
+    lands in the slot of S's bitmask and that slot is alpha(S); ranks
+    rise along a chain, so no other chain shares it.
+    """
+    levels = poset._levels[1:-1]
+    keep = sum(1 << i for level in levels for i in level)
+    width = _chain_width(keep.bit_count(), len(levels))
+    # the extreme ranks are not kept, so their shifts are never read
+    shift = [width << r >> 1 for r in poset._rank]
+    alpha = _unpack(_chain_sum(poset, keep, shift), width, 1 << len(levels))
+    return FlagVectors(poset.rank - 1, alpha, _moebius(list(alpha)))
 
 
 def rank_selected_h(poset: GradedBoundedPoset, t: Iterable) -> Poly:
     """h-polynomial of the order complex of the rank selection by t.
 
-    Its f-vector counts chains by size, f_i = sum of alpha(S) over the
-    i-subsets S of t, and h is the f->h transform of degree |t|.  That
-    equals the beta generating sum over subsets of t, which the tests
-    cross-check against chain enumeration on rank_selected(poset, t).
+    Its f-vector counts the chains of the elements with ranks in t by
+    size, and h is the f->h transform of degree |t|.  The tests
+    cross-check it against the chain polynomial of the proper part of
+    rank_selected(poset, t) and against chains counted by rank set with
+    ``less`` on every pair.
     """
     sel = _selection(poset, t)
-    f = [0] * (len(sel) + 1)
-    for mask, count in enumerate(_alpha_table(poset, sel)):
-        f[bin(mask).count("1")] += count
+    keep = sum(1 << i for r in sel for i in poset._levels[r])
+    width = _chain_width(keep.bit_count(), len(sel))
+    f = _unpack(_chain_sum(poset, keep, [width] * len(poset)), width, len(sel) + 1)
     return h_from_f(Poly(f), len(sel))
 
 

@@ -20,9 +20,10 @@ cover-check oracle finds each up-set by depth-first search over the
 cover list and tests every cover against the up-sets of its siblings,
 where the package folds that test into its one up-set pass.
 
-The chain-count oracle counts chains by size with plain ints and the
-order comparison ``less`` on every pair, where the package packs whole
-polynomials into one int and walks up-set bitmasks.
+The chain-count oracles count chains by size, and by rank set for the
+flag alpha table, with plain ints and the order comparison ``less`` on
+every pair, where the package packs whole polynomials, or the whole
+table, into one int and walks up-set bitmasks.
 
 The determinant oracle runs Gessel's Hessenberg recurrence as products
 of ``Poly`` objects in the basis x, where the package packs each minor
@@ -454,6 +455,27 @@ def chain_polynomial_pairwise(poset: Poset) -> Poly:
         for k, count in enumerate(row):
             total[k] += count
     return Poly(total)
+
+
+def flag_alpha_pairwise(poset: GradedBoundedPoset) -> list:
+    """alpha(S) for every set S of proper ranks, indexed by the bitmask of
+    S (bit r - 1 for rank r): the chains with one element at each rank of
+    S, each found by extending the chains that end below its top element,
+    tested with ``less`` on every pair of proper elements."""
+    n = max(poset.rank - 1, 0)
+    proper = [y for level in poset.levels[1 : n + 1] for y in level]
+    alpha = [1] + [0] * ((1 << n) - 1)
+    ending = {}
+    for y in proper:
+        bit = 1 << (poset.rank_of(y) - 1)
+        counts = ending[y] = {bit: 1}
+        for x in proper:
+            if poset.less(x, y):
+                for mask, count in ending[x].items():
+                    counts[mask | bit] = counts.get(mask | bit, 0) + count
+        for mask, count in counts.items():
+            alpha[mask] += count
+    return alpha
 
 
 def _compositions(total: int, parts: int):

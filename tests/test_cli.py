@@ -357,6 +357,22 @@ def test_nc_failure_prints_only_the_error(capsys, monkeypatch, argv, failing):
     assert (code, out) == (3, "error=out of memory\n")
 
 
+# the over-cap brute count would exit 3: the flag pair is checked first
+@pytest.mark.parametrize("argv,error", [
+    (["ant", "11", "-", "--brute", "--colored", "5", "--gessel"],
+     "--gessel applies to the uncolored enumerator"),
+    (["certify", "1,3,2", "--symdec", "0"],
+     "polynomial degree 2 exceeds decomposition degree 0"),
+    (["poset", SQUARE, "--rank-select", "5", "--flags"],
+     "selected ranks must lie in 1..1"),
+])
+def test_failure_prints_only_the_error(capsys, argv, error):
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out) == (2, "error=%s\n" % error)
+    code, out, _ = run_cli(capsys, *argv, "--timing", "--json")
+    assert code == 2 and list(json.loads(out)) == ["error", "time-ms"]
+
+
 def test_nc_bad_type(capsys):
     code, out, _ = run_cli(capsys, "nc", "Q7")
     assert code == 2

@@ -14,7 +14,11 @@ while the colored enumerator still read memoized unpacked rows, and
 of ``poset --flags`` on a one-element poset (``point.json``), a chain
 of 12 elements (``chain12.json``) and the Boolean lattice of rank 6
 with a top adjoined (``boolean6.json``), recorded while the flag table
-was still a depth-first walk over rank subsets.
+was still a depth-first walk over rank subsets.  The error records
+(``poset square.json`` with an out-of-range selection, ``ant --brute
+--colored --gessel``, ``certify --symdec 0`` and ``certify
+--interlaces`` on a malformed polynomial) hold only the error line: a
+failed command drops whatever it reported before failing.
 Default output must not change, so any difference is a regression.
 """
 

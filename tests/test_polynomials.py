@@ -1,7 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainpoly import (
@@ -26,6 +27,7 @@ from chainpoly.polynomials import (
     _integer_coeffs,
     _primitive,
     _remainder_sequence,
+    _unpack,
 )
 from oracles import exact_div_oracle
 
@@ -235,3 +237,20 @@ def test_degree_of_product(p, q):
         assert p * q == ZERO
     else:
         assert (p * q).degree == p.degree + q.degree
+
+
+@given(st.integers(1, 70), st.integers(0, 300), st.integers(1, 5), st.randoms())
+@settings(max_examples=200)
+@example(7, 65, 1, random.Random(1))
+@example(1, 300, 5, random.Random(2))
+@example(64, 129, 2, random.Random(3))
+def test_unpack_matches_slot_by_slot_read(width, length, extra, rng):
+    # the halving past 64 slots against reading each slot off the whole
+    # int; the slots above length are nonzero and must not leak in
+    slots = [rng.getrandbits(width) for _ in range(length)]
+    slots += [rng.getrandbits(width) | 1 for _ in range(extra)]
+    v = sum(c << (width * i) for i, c in enumerate(slots))
+    mask = (1 << width) - 1
+    want = [(v >> (width * i)) & mask for i in range(length)]
+    assert want == slots[:length]
+    assert _unpack(v, width, length) == want

@@ -4,6 +4,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chainpoly import (
     CoxeterType,
@@ -31,6 +33,7 @@ from chainpoly import (
 from oracles import (
     chain_polynomial_pairwise,
     cover_check_pairwise,
+    flag_alpha_pairwise,
     graded_ranks_pairwise,
     subposet_pairwise,
 )
@@ -423,6 +426,59 @@ def test_rank_selected_h_equals_beta_sum():
         assert h == Poly(expect)
         sel = rank_selected(b4, t)
         assert h == h_from_f(chain_polynomial(sel.proper_part()), len(t))
+
+
+def graded_chain(rank):
+    return GradedBoundedPoset(range(rank + 1), [(i, i + 1) for i in range(rank)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.builds(
+            lambda rank, seed: random_graded_poset(random.Random(seed), rank),
+            st.integers(0, 7),
+            st.integers(0, 2 ** 32),
+        ),
+        st.builds(graded_chain, st.integers(0, 10)),
+    ),
+    st.booleans(),
+)
+@example(graded_chain(0), False)
+@example(graded_chain(1), True)
+@example(graded_chain(14), False)
+@example(adjoin_max(boolean_lattice(5)), False)
+def test_flags_and_rank_selection_match_pairwise_oracles(poset, top):
+    """flag_vectors and rank_selected_h, every T, against chains counted
+    by rank set with ``less`` on every pair, beta by inclusion-exclusion
+    over the subsets of each T; up to 8 proper ranks, h also against the
+    pairwise chain polynomial of the proper part of the rank selection.
+    Ranks 0 and 1 have no proper rank: one empty slot; the 14-rank chain
+    packs 2^13 slots."""
+    if top:
+        poset = adjoin_max(poset)
+    n = max(poset.rank - 1, 0)
+    alpha = flag_alpha_pairwise(poset)
+    fv = flag_vectors(poset)
+    assert fv.n == poset.rank - 1
+    for mask in range(1 << n):
+        t = [r + 1 for r in range(n) if mask >> r & 1]
+        assert fv.alpha(t) == alpha[mask], t
+        beta, f = 0, [0] * (len(t) + 1)
+        sub = mask
+        while True:  # every subset S of T, as a submask
+            size = bin(sub).count("1")
+            beta += (-1) ** (len(t) - size) * alpha[sub]
+            f[size] += alpha[sub]
+            if not sub:
+                break
+            sub = (sub - 1) & mask
+        assert fv.beta(t) == beta, t
+        h = rank_selected_h(poset, t)
+        assert h == h_from_f(Poly(f), len(t)), t
+        if n <= 8:
+            sel = rank_selected(poset, t).proper_part()
+            assert h == h_from_f(chain_polynomial_pairwise(sel), len(t)), t
 
 
 def test_load_poset_roundtrip(tmp_path):
