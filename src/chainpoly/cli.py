@@ -8,8 +8,9 @@ single JSON object with --json.  Batch mode reads one JSON argv array
 per line and emits one JSON report per line, in order.
 
 Exit codes: 0 success / property holds, 1 a certified property fails,
-2 invalid input or domain error, 3 resource cap exceeded.  Output is
-deterministic; timing appears only behind --timing.
+2 invalid input or domain error, 3 resource cap exceeded; a command
+that fails prints only its error line.  Output is deterministic; timing
+appears only behind --timing.
 """
 
 from __future__ import annotations
