@@ -462,7 +462,10 @@ def _run_batch(parser: argparse.ArgumentParser, path: str) -> int:
                 raise ValueError("batch lines must be JSON arrays of strings")
             if tokens and tokens[0] == "--batch":
                 raise ValueError("batch lines cannot nest --batch")
-            with contextlib.redirect_stderr(io.StringIO()):
+            # -h prints its help to stdout, usage errors to stderr: neither
+            # may reach the JSONL stream
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                 ns = parser.parse_args(tokens)
             if ns.command is None:
                 raise ValueError("batch line is missing a subcommand")

@@ -6,13 +6,14 @@ signed permutations for B, the even-sign subgroup for D) by its
 reflections and a fixed Coxeter element alone, reads absolute lengths
 off Carter's lemma, l(w) = codim Fix(w), and generates the interval
 below the Coxeter element upward from the identity as a graded bounded
-poset; the whole group is listed only when asked for.  The formula
-route evaluates the paper's descent-word expressions for the order
-h-polynomial of types A, B and D, and reads the dihedral and
-exceptional types off their degrees: the zeta polynomial of the
-noncrossing lattice is a Fuss-Catalan number (Chapoton, Sem. Lothar.
-Combin. 51, 2004), and h is a finite difference of it (Stanley, EC1
-Sec. 3.12).
+poset, deciding each step's reflections from the cycles of the part of
+the Coxeter element still to be reached; the whole group is listed only
+when asked for.  The formula route evaluates the paper's descent-word
+expressions for the order h-polynomial of types A, B and D, and reads
+the dihedral and exceptional types off their degrees: the zeta
+polynomial of the noncrossing lattice is a Fuss-Catalan number
+(Chapoton, Sem. Lothar. Combin. 51, 2004), and h is a finite difference
+of it (Stanley, EC1 Sec. 3.12).
 The lattice route only scales to small ranks and exists chiefly to
 certify the formula route.  This module only enumerates and transforms:
 the chain polynomial and the reversed-h identity run off the formulas,
@@ -249,6 +250,56 @@ def build_reflection_group(
     return ReflectionGroup(t, n, frozenset(reflections), gamma)
 
 
+def _root(t: Tuple[int, ...]) -> Tuple[int, int, bool]:
+    """(i, j, plus) for a reflection t moving positions i <= j (from 0):
+    its root is e_i - e_j, or e_i + e_j when plus, or e_i when i = j."""
+    moved = [k for k, v in enumerate(t) if v != k + 1]
+    return moved[0], moved[-1], t[moved[0]] < 0
+
+
+def _below(c: Tuple[int, ...], candidates: list) -> list:
+    """The candidates (i, j, plus, t), with (i, j, plus) the root of t,
+    whose reflection t lies below c in absolute order.
+
+    By Carter's lemma l(t c) = l(c) - 1 exactly when t's root lies in
+    Mov(c), the orthogonal complement of Fix(c).  Fix(c) is spanned by
+    one vector per cycle of |c| with an even number of negative entries:
+    entries +-1 on the cycle, the sign flipping after each negative
+    entry.  One pass over the cycles labels each position with its cycle
+    and that sign, and with -1 in a cycle without a fixed line.  So e_i
+    lies in Mov(c) when i's cycle has no fixed line; e_i - e_j when
+    neither i's nor j's has, or both lie in one cycle with equal signs;
+    and e_i + e_j likewise, but with opposite signs.
+    """
+    cycle = [None] * len(c)
+    flip = [False] * len(c)
+    for start in range(len(c)):
+        if cycle[start] is not None:
+            continue
+        walk, odd, k = [], False, start
+        while cycle[k] is None:
+            cycle[k] = start
+            flip[k] = odd
+            walk.append(k)
+            odd ^= c[k] < 0
+            k = abs(c[k]) - 1
+        if odd:
+            for k in walk:
+                cycle[k] = -1
+    kept = []
+    for entry in candidates:
+        i, j, plus, _ = entry
+        if i == j:
+            moved = cycle[i] < 0
+        elif cycle[i] < 0:
+            moved = cycle[j] < 0
+        else:
+            moved = cycle[i] == cycle[j] and (flip[i] != flip[j]) == plus
+        if moved:
+            kept.append(entry)
+    return kept
+
+
 def noncrossing_lattice(
     g: ReflectionGroup, gamma: Optional[Tuple[int, ...]] = None
 ) -> GradedBoundedPoset:
@@ -256,28 +307,28 @@ def noncrossing_lattice(
 
     Generated upward from the identity, carrying c = a^-1 gamma for each
     element a of a level: for a reflection t, b = a t covers a inside
-    the interval, with b^-1 gamma = t c, exactly when l(t c) = l(c) - 1,
-    since then l(b) = l(a) + 1 by subadditivity of l.  Those t are the
-    reflections below c in absolute order, and t c is below c, so the
-    reflections tested at b are only those kept at a.  Only the
-    reflections and gamma are read; the group is listed only to check
-    an explicit gamma.  Elements are sorted and covers ordered by rank,
-    then by their lower and upper ends.
+    the interval, with b^-1 gamma = t c, exactly when t lies below c in
+    absolute order, since then l(b) = l(a) + 1 by subadditivity of l.
+    ``_below`` decides that by a constant-time rule per reflection from
+    the cycles of c, and only the reflections kept are composed.  As t c
+    is below c, the reflections tested at b are only those kept at a.
+    Only the reflections and gamma are read; the group is listed only
+    to check an explicit gamma.  Elements are sorted and covers ordered
+    by rank, then by their lower and upper ends.
     """
     if gamma is None:
         gamma = g.gamma
     elif gamma not in g.elements or _absolute_length(gamma) != g.rank:
         raise DomainError("gamma must be an element of absolute length = rank")
-    level = {g.identity: (gamma, g.reflections)}
+    level = {g.identity: (gamma, [_root(t) + (t,) for t in g.reflections])}
     elements = [g.identity]
     covers = []
-    for length in reversed(range(g.rank)):  # of t c, one level up
+    for _ in range(g.rank):
         uppers = {}
         for a in sorted(level):
             c, candidates = level[a]
-            kept = {t: compose(t, c) for t in candidates}
-            kept = {t: tc for t, tc in kept.items() if _absolute_length(tc) == length}
-            above = {compose(a, t): (tc, kept) for t, tc in kept.items()}
+            kept = _below(c, candidates)
+            above = {compose(a, t): (compose(t, c), kept) for *_, t in kept}
             covers.extend((a, b) for b in sorted(above))
             uppers.update(above)
         level = uppers

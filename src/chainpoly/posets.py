@@ -23,7 +23,8 @@ whose binomial transform is the order h-polynomial; one slot per element
 of the ranks in t gives the f-vector of the rank selection by t; and
 2^(r-1) slots at rank r put the chains through the ranks S in the slot
 of S's bitmask, alpha(S).  Beta, alpha's inclusion-exclusion transform,
-is one in-place subset Moebius transform of that table.  Rank selection
+is one in-place subset Moebius transform of that table, on whole slices
+per bit.  Rank selection
 as a poset keeps the elements whose rank lies in a chosen set and
 rebounds them between a virtual bottom and top.
 """
@@ -34,6 +35,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import sub
 from typing import Iterable, Sequence
 
 from .errors import DomainError, GradedStructureError, PosetFileError
@@ -362,7 +364,9 @@ def rank_selected(poset: GradedBoundedPoset, t: Iterable) -> GradedBoundedPoset:
     levels = [poset._levels[r] for r in sel]
     kept = [i for level in levels for i in level]
     # kept element i sits at position[i] between the bottom 0 and the top
-    position = {i: k for k, i in enumerate(kept, 1)}
+    position = [0] * len(poset)
+    for k, i in enumerate(kept, 1):
+        position[i] = k
     last = len(kept) + 1
     pairs = [(0, position[i]) for i in levels[0]] if sel else [(0, 1)]
     # bits ascend in element order, as the levels do, so each element
@@ -371,8 +375,11 @@ def rank_selected(poset: GradedBoundedPoset, t: Iterable) -> GradedBoundedPoset:
     for lower, upper in zip(levels, levels[1:]):
         above = sum(1 << j for j in upper)
         for i in lower:
-            k = position[i]
-            pairs.extend((k, position[j]) for j in _bits(up[i] & above))
+            k, mask = position[i], up[i] & above
+            while mask:  # _bits inlined, as in _chain_sum
+                low = mask & -mask
+                pairs.append((k, position[low.bit_length() - 1]))
+                mask ^= low
     pairs.extend((position[i], last) for level in levels[-1:] for i in level)
     elements = [bot] + [labels[i] for i in kept] + [top]
     out = GradedBoundedPoset._from_pairs(elements, pairs)
@@ -381,17 +388,30 @@ def rank_selected(poset: GradedBoundedPoset, t: Iterable) -> GradedBoundedPoset:
 
 
 def _moebius(table: list) -> list:
-    """In-place subset Moebius transform of a bitmask-indexed table.
+    """In-place subset Moebius transform of a table indexed by bitmask,
+    of length a power of two.
 
     Afterwards table[S] is the sum over T contained in S of
-    (-1)^(|S|-|T|) times the old table[T]: O(k 2^k) for k bits.
+    (-1)^(|S|-|T|) times the old table[T]: O(k 2^k) for k bits.  Each
+    bit subtracts whole slices, the masks without it from those with it:
+    ``bit`` strided slices while bit^2 < len(table), then one contiguous
+    half-block per block of 2 bit, so at most sqrt(len(table)) slice
+    operations per bit.
     """
-    bit = 1
-    while bit < len(table):
-        for mask in range(len(table)):
-            if mask & bit:
-                table[mask] -= table[mask ^ bit]
-        bit <<= 1
+    size, bit = len(table), 1
+    while bit < size:
+        step = 2 * bit
+        if bit * bit < size:
+            for low in range(bit):
+                table[low + bit::step] = map(
+                    sub, table[low + bit::step], table[low::step]
+                )
+        else:
+            for start in range(0, size, step):
+                table[start + bit:start + step] = map(
+                    sub, table[start + bit:start + step], table[start:start + bit]
+                )
+        bit = step
     return table
 
 

@@ -10,12 +10,16 @@ The reflection-group oracles find absolute lengths by breadth-first
 search over the reflection Cayley graph, and noncrossing lattices by
 filtering the whole group by those lengths and testing every pair of
 consecutive ranks, independent of Carter's formula and of the upward
-walk in ``chainpoly.coxeter``.  The
+walk in ``chainpoly.coxeter``.  The walk oracle is that upward walk with
+an absolute length computed for every candidate reflection, where the
+package decides each candidate from the cycles of one element.  The
 simplicial oracle compares the order with atom-set containment on every
-pair below each element, and the subposet oracle finds covers by testing
-every pair of kept elements.  The rank-selection oracle compares every
-pair of consecutive selected levels, and the face-poset oracle tests
-every pair of faces; the package reads both from bitmasks instead.  The
+pair below each element, where the package checks the covers of each
+element, and the subposet oracle finds covers by testing every pair of
+kept elements.  The rank-selection oracle compares every pair of
+consecutive selected levels, and the face-poset and colored-subset
+oracles test every pair of sets; the package reads the first from
+bitmasks and the others from integer codes of the sets instead.  The
 cover-check oracle finds each up-set by depth-first search over the
 cover list and tests every cover against the up-sets of its siblings,
 where the package folds that test into its one up-set pass.
@@ -23,7 +27,9 @@ where the package folds that test into its one up-set pass.
 The chain-count oracles count chains by size, and by rank set for the
 flag alpha table, with plain ints and the order comparison ``less`` on
 every pair, where the package packs whole polynomials, or the whole
-table, into one int and walks up-set bitmasks.
+table, into one int and walks up-set bitmasks.  The Moebius oracle
+transforms the flag table one entry at a time, where the package
+subtracts whole slices.
 
 The determinant oracle runs Gessel's Hessenberg recurrence as products
 of ``Poly`` objects in the basis x, where the package packs each minor
@@ -57,6 +63,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from chainpoly.coxeter import (
+    _absolute_length,
     _identity,
     _signed_transposition,
     _transposition,
@@ -278,6 +285,31 @@ def noncrossing_lattice_pairwise(g, gamma=None) -> GradedBoundedPoset:
     return out
 
 
+def noncrossing_lattice_walk(g) -> GradedBoundedPoset:
+    """The upward walk of ``noncrossing_lattice`` with an absolute length
+    for every candidate: at a with c = a^-1 gamma, keep the reflection t
+    when l(t c) = l(c) - 1, computed by Carter's formula on the product,
+    where the package decides t <= c from the cycles of c alone."""
+    level = {g.identity: (g.gamma, g.reflections)}
+    elements = [g.identity]
+    covers = []
+    for length in reversed(range(g.rank)):  # of t c, one level up
+        uppers = {}
+        for a in sorted(level):
+            c, candidates = level[a]
+            kept = {t: compose(t, c) for t in candidates}
+            kept = {t: tc for t, tc in kept.items() if _absolute_length(tc) == length}
+            above = {compose(a, t): (tc, kept) for t, tc in kept.items()}
+            covers.extend((a, b) for b in sorted(above))
+            uppers.update(above)
+        level = uppers
+        elements.extend(level)
+    elements.sort()
+    position = {w: k for k, w in enumerate(elements)}
+    pairs = [(position[a], position[b]) for a, b in covers]
+    return GradedBoundedPoset._from_pairs(elements, pairs)
+
+
 def is_simplicial_pairwise(poset: GradedBoundedPoset) -> bool:
     """Whether every lower interval is Boolean: the counts and distinct
     atom sets below each y, and order agreeing with atom-set containment
@@ -434,6 +466,28 @@ def face_poset_pairwise(facets) -> GradedBoundedPoset:
     return out
 
 
+def colored_subset_poset_pairwise(n: int, r: int) -> GradedBoundedPoset:
+    """Colored subsets listed by size, points and colors, with a cover
+    for every pair x < y of sets one colored point apart, scanned in
+    element order."""
+    elements = [
+        frozenset(zip(points, colors))
+        for size in range(n + 1)
+        for points in combinations(range(1, n + 1), size)
+        for colors in product(range(r), repeat=size)
+    ]
+    covers = [
+        (x, y)
+        for x in elements
+        for y in elements
+        if len(y) == len(x) + 1 and x < y
+    ]
+    out = GradedBoundedPoset(elements, covers)
+    # set size must be the rank the covers give
+    assert all(out.rank_of(x) == len(x) for x in elements)
+    return out
+
+
 def chain_polynomial_pairwise(poset: Poset) -> Poly:
     """Chains by size: N_k(e) = sum of N_(k-1)(f) over f > e, with N_1 = 1.
 
@@ -476,6 +530,19 @@ def flag_alpha_pairwise(poset: GradedBoundedPoset) -> list:
         for mask, count in counts.items():
             alpha[mask] += count
     return alpha
+
+
+def moebius_oracle(table: list) -> list:
+    """In-place subset Moebius transform, one mask and one bit at a time:
+    table[S] -= table[S - {b}] for every bit b of every mask S, where the
+    package subtracts whole slices."""
+    bit = 1
+    while bit < len(table):
+        for mask in range(len(table)):
+            if mask & bit:
+                table[mask] -= table[mask ^ bit]
+        bit <<= 1
+    return table
 
 
 def _compositions(total: int, parts: int):

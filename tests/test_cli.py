@@ -8,7 +8,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainpoly import (
@@ -774,7 +774,8 @@ POSITIONALS = {
 }
 flag = st.one_of(
     st.sampled_from(["--json", "--timing", "--brute", "--gessel", "--oracle",
-                     "--symdec", "--flags", "--certify", "--bogus", "--batch"]).map(
+                     "--symdec", "--flags", "--certify", "--bogus", "--batch",
+                     "-h", "--help"]).map(
         lambda f: [f]
     ),
     st.tuples(
@@ -810,6 +811,7 @@ bad_lines = st.sampled_from(
 @given(st.lists(st.one_of(argvs().map(lambda a: json.dumps(a).encode()), bad_lines),
                 max_size=6))
 @settings(max_examples=40, deadline=None)
+@example([b'["ant", "-h"]', b'["nc", "A3", "--json", "--help"]', b'["ant", "3", "1,2"]'])
 def test_fuzzed_batch_keeps_the_exit_contract(lines):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "batch.jsonl")
@@ -819,3 +821,84 @@ def test_fuzzed_batch_keeps_the_exit_contract(lines):
     records = [json.loads(line) for line in out.splitlines()]
     assert code == max([r["exit"] for r in records], default=0)
     assert code in (0, 1, 2, 3)
+
+
+# bases as (elements, covers, ranks): a chain, the square, the Boolean
+# lattice B3 on bitmask integers, and the pentagon, which is bounded but
+# not graded
+CUBE = list(range(8))
+POSET_BASES = [
+    (["e", "a", "b"], [["e", "a"], ["a", "b"]], {"e": 0, "a": 1, "b": 2}),
+    (["e", "a", "b", "ab"], SQUARE_COVERS, SQUARE_RANKS),
+    (CUBE, [[x, x | 1 << k] for x in CUBE for k in range(3) if not x >> k & 1],
+     {str(x): bin(x).count("1") for x in CUBE}),
+    (["0", "a", "b", "c", "1"], [["0", "a"], ["a", "b"], ["b", "1"], ["0", "c"], ["c", "1"]],
+     None),
+]
+ODD_NAMES = [True, 1.5, None, [1], {"x": 1}, "ghost", 99]
+
+
+@st.composite
+def poset_files(draw):
+    """A JSON poset from a graded base with a few faults: duplicate,
+    unknown, self, cyclic and implied covers, an element left ungraded,
+    a declared bottom or ranks, right or wrong, and names that are no
+    strings or integers."""
+    elements, covers, ranks = draw(st.sampled_from(POSET_BASES))
+    elements, covers = list(elements), [list(c) for c in covers]
+    data = {"elements": elements, "covers": covers}
+    element = st.sampled_from(elements)
+    for fault in draw(st.lists(st.integers(0, 9), max_size=3)):
+        if fault == 0:
+            covers.append(list(draw(st.sampled_from(covers))))
+        elif fault == 1:
+            elements.append(draw(element))
+        elif fault == 2:
+            covers.append([draw(element), draw(st.sampled_from(ODD_NAMES))])
+        elif fault == 3:
+            x = draw(element)
+            covers.append([x, x])
+        elif fault == 4:  # a cycle through a reversed cover
+            covers.append(list(reversed(draw(st.sampled_from(covers)))))
+        elif fault == 5:  # bottom to top, implied once the rank is 2
+            covers.append([elements[0], elements[-1]])
+        elif fault == 6:  # a maximal element below the top rank
+            elements.append("z")
+            covers.append([draw(element), "z"])
+        elif fault == 7:
+            data["bottom"] = draw(st.one_of(element, st.sampled_from(ODD_NAMES)))
+        elif fault == 8:
+            declared = dict(ranks or {str(x): 0 for x in elements})
+            key = draw(st.sampled_from(sorted(declared) + ["ghost"]))
+            declared[key] = draw(st.sampled_from([0, 1, 2, 3, 1.5, "1", True, None]))
+            data["ranks"] = declared
+        else:
+            where = draw(st.sampled_from(["element", "cover"]))
+            odd = draw(st.sampled_from(ODD_NAMES))
+            if where == "element":
+                elements[draw(st.integers(0, len(elements) - 1))] = odd
+            else:
+                covers[draw(st.integers(0, len(covers) - 1))][draw(st.integers(0, 1))] = odd
+    if ranks is not None and draw(st.booleans()):
+        data.setdefault("ranks", ranks)
+    return data
+
+
+@given(poset_files(), st.sampled_from(["-", "1", "2", "1,2", "2,3", "0", "x"]))
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_poset_files_keep_the_exit_contract(data, t):
+    """Each run exits in {0, 1, 2, 3} without a traceback; a failed run
+    prints exactly one line, its error= line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "poset.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        argv = ["poset", path, "--flags", "--rank-select", t, "--certify"]
+        code, out = _run_main(argv)
+    lines = out.splitlines()
+    errors = [line for line in lines if line.startswith("error=")]
+    assert code in (0, 1, 2, 3), (data, t)
+    if code in (2, 3):
+        assert lines == errors and len(errors) == 1, (data, t, out)
+    else:
+        assert not errors, (data, t, out)

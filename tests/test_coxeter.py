@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from itertools import combinations, product
 
 import pytest
@@ -28,7 +29,14 @@ from chainpoly import (
     word_descent_enumerator,
 )
 from chainpoly.cli import main
-from chainpoly.coxeter import _absolute_length, _h_from_degrees, _veronese_product, compose
+from chainpoly.coxeter import (
+    _absolute_length,
+    _below,
+    _h_from_degrees,
+    _root,
+    _veronese_product,
+    compose,
+)
 from oracles import (
     absolute_lengths_bfs,
     chain_polynomial_pairwise,
@@ -36,6 +44,7 @@ from oracles import (
     flag_f_nc_d,
     inverse,
     noncrossing_lattice_pairwise,
+    noncrossing_lattice_walk,
 )
 
 SMALL_GROUPS = (
@@ -177,6 +186,72 @@ def test_lattice_matches_pairwise_oracle(name):
         assert [lat.rank_of(a) for a in lat.elements] == [
             ref.rank_of(a) for a in ref.elements
         ]
+
+
+RULE_TYPES = (
+    [("A", k) for k in range(1, 8)]
+    + [("B", k) for k in range(2, 8)]
+    + [("D", k) for k in range(3, 8)]
+)
+
+
+@pytest.mark.parametrize("fam,k", RULE_TYPES)
+def test_mov_rule_matches_absolute_length(fam, k):
+    """For every reflection t and random c, t is kept exactly when
+    l(t c) = l(c) - 1; c has cycles with an odd number of negative
+    entries in B and D."""
+    g = build_reflection_group(CoxeterType(fam, k), max_order=10 ** 7)
+    n = g.degree
+    reflections = sorted(g.reflections)
+    candidates = [_root(t) + (t,) for t in reflections]
+    rng = random.Random(k)
+    odd_cycles = 0
+    for trial in range(60):
+        w = list(range(1, n + 1))
+        rng.shuffle(w)
+        if fam != "A":
+            signs = [rng.choice((1, -1)) for _ in w]
+            if fam == "D" and signs.count(-1) % 2:
+                signs[0] = -signs[0]
+            w = [s * v for s, v in zip(signs, w)]
+        c = g.identity if trial == 0 else g.gamma if trial == 1 else tuple(w)
+        # l(c) is n minus the cycles with an even number of negatives
+        odd_cycles += _absolute_length(c) > n - _cycle_count(c)
+        kept = [t for *_, t in _below(c, candidates)]
+        want = [
+            t for t in reflections
+            if _absolute_length(compose(t, c)) == _absolute_length(c) - 1
+        ]
+        assert kept == want, c
+    assert odd_cycles > 10 or fam == "A"
+
+
+def _cycle_count(c):
+    """The number of cycles of |c|."""
+    seen, count = set(), 0
+    for start in range(len(c)):
+        if start not in seen:
+            count += 1
+            i = start
+            while i not in seen:
+                seen.add(i)
+                i = abs(c[i]) - 1
+    return count
+
+
+WALK_TYPES = (
+    ["A%d" % k for k in range(1, 8)]
+    + ["B%d" % k for k in range(2, 7)]
+    + ["D%d" % k for k in range(3, 7)]
+)
+
+
+@pytest.mark.parametrize("name", WALK_TYPES)
+def test_lattice_matches_walk_oracle(name):
+    g = build_reflection_group(CoxeterType.parse(name))
+    lat, ref = noncrossing_lattice(g), noncrossing_lattice_walk(g)
+    assert lat.elements == ref.elements
+    assert lat.covers == ref.covers
 
 
 def test_explicit_gamma_is_checked():

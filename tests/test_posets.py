@@ -30,11 +30,13 @@ from chainpoly import (
     rank_selected,
     rank_selected_h,
 )
+from chainpoly.posets import _moebius
 from oracles import (
     chain_polynomial_pairwise,
     cover_check_pairwise,
     flag_alpha_pairwise,
     graded_ranks_pairwise,
+    moebius_oracle,
     subposet_pairwise,
 )
 from test_simplicial import random_graded_poset
@@ -479,6 +481,18 @@ def test_flags_and_rank_selection_match_pairwise_oracles(poset, top):
         if n <= 8:
             sel = rank_selected(poset, t).proper_part()
             assert h == h_from_f(chain_polynomial_pairwise(sel), len(t)), t
+
+
+@given(st.integers(0, 12), st.integers(0, 2 ** 32), st.integers(1, 200))
+@settings(max_examples=60, deadline=None)
+@example(0, 0, 1)
+@example(12, 1, 200)
+def test_moebius_slices_match_the_entrywise_oracle(k, seed, bits):
+    """Slices, strided and then contiguous, against one entry and one bit
+    at a time, on tables of 2^0 to 2^12 signed entries."""
+    rng = random.Random(seed)
+    table = [rng.randint(-(1 << bits), 1 << bits) for _ in range(1 << k)]
+    assert _moebius(list(table)) == moebius_oracle(list(table))
 
 
 def test_load_poset_roundtrip(tmp_path):

@@ -26,6 +26,7 @@ from chainpoly import (
     stanley_flag_beta,
 )
 from oracles import (
+    colored_subset_poset_pairwise,
     face_poset_pairwise,
     is_simplicial_pairwise,
     rank_selected_pairwise,
@@ -126,6 +127,38 @@ def test_is_simplicial():
     assert is_simplicial(double)
 
 
+def test_is_simplicial_boundary_cases():
+    # y passes both counts, 8 elements and 3 atoms below it, and covers 3
+    # elements, but two of them share the atom set {a, b}: [0, y] is not
+    # Boolean
+    shared = GradedBoundedPoset(
+        [0, "a", "b", "c", "ab1", "ab2", "ac", "y"],
+        [(0, "a"), (0, "b"), (0, "c"), ("a", "ab1"), ("b", "ab1"), ("a", "ab2"),
+         ("b", "ab2"), ("a", "ac"), ("c", "ac"), ("ab1", "y"), ("ab2", "y"), ("ac", "y")],
+    )
+    # two edges on the same two vertices: simplicial, though not a complex
+    double = GradedBoundedPoset(
+        [0, "v1", "v2", "e1", "e2"],
+        [(0, "v1"), (0, "v2"), ("v1", "e1"), ("v2", "e1"), ("v1", "e2"), ("v2", "e2")],
+    )
+    # z's four covers carry the four 3-subsets of its atoms, each
+    # triangle Boolean, but the edges ab1 and ab2 share the atom set
+    # {a, b}: 17 elements lie below z, not 16
+    triangles = {"abc": ("ab1", "ac", "bc"), "abd": ("ab2", "ad", "bd"),
+                 "acd": ("ac", "ad", "cd"), "bcd": ("bc", "bd", "cd")}
+    edges = {e: (e[0], e[1]) for e in ["ab1", "ab2", "ac", "ad", "bc", "bd", "cd"]}
+    covers = [(0, v) for v in "abcd"]
+    covers += [(v, e) for e, ends in edges.items() for v in ends]
+    covers += [(e, t) for t, sides in triangles.items() for e in sides]
+    covers += [(t, "z") for t in triangles]
+    pillow = GradedBoundedPoset(
+        [0, *"abcd", *edges, *triangles, "z"], covers
+    )
+    for poset, verdict in [(shared, False), (double, True), (pillow, False)]:
+        assert is_simplicial(poset) is verdict
+        assert is_simplicial_pairwise(poset) is verdict
+
+
 def test_is_simplicial_matches_pairwise_oracle():
     rng = random.Random(3)
     posets = [random_graded_poset(rng, rng.randint(0, 4)) for _ in range(1500)]
@@ -161,6 +194,17 @@ def test_face_poset_matches_pairwise_oracle():
         assert _shape(p) == _shape(face_poset_pairwise(facets))
         # covers hold the element objects themselves, not equal copies
         assert all(p.elements[p.index(y)] is y for _, y in p.covers)
+
+
+def test_subset_posets_match_pairwise_oracle():
+    for n in range(5):
+        for r in range(1, 5 - n // 2):
+            p, oracle = colored_subset_poset(n, r), colored_subset_poset_pairwise(n, r)
+            assert _shape(p) == _shape(oracle)
+        # the Boolean lattice is the one-color case, with plain points
+        b, oracle = boolean_lattice(n), colored_subset_poset_pairwise(n, 1)
+        assert list(b.elements) == [frozenset(p for p, _ in x) for x in oracle.elements]
+        assert b._pairs == oracle._pairs
 
 
 def test_face_poset_covers_ignore_hash_seed():
