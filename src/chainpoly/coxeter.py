@@ -257,6 +257,21 @@ def _root(t: Tuple[int, ...]) -> Tuple[int, int, bool]:
     return moved[0], moved[-1], t[moved[0]] < 0
 
 
+def _times_reflection(
+    a: Tuple[int, ...], i: int, j: int, plus: bool
+) -> Tuple[int, ...]:
+    """compose(a, t) for the reflection t with root (i, j, plus), as
+    ``_root`` reads it: t swaps positions i and j for e_i - e_j, swaps
+    and negates both for e_i + e_j, and negates position i for e_i
+    (i = j), so a t is a with those entries edited."""
+    w = list(a)
+    if plus:
+        w[i], w[j] = -a[j], -a[i]
+    else:
+        w[i], w[j] = a[j], a[i]
+    return tuple(w)
+
+
 def _below(c: Tuple[int, ...], candidates: list) -> list:
     """The candidates (i, j, plus, t), with (i, j, plus) the root of t,
     whose reflection t lies below c in absolute order.
@@ -310,11 +325,14 @@ def noncrossing_lattice(
     the interval, with b^-1 gamma = t c, exactly when t lies below c in
     absolute order, since then l(b) = l(a) + 1 by subadditivity of l.
     ``_below`` decides that by a constant-time rule per reflection from
-    the cycles of c, and only the reflections kept are composed.  As t c
-    is below c, the reflections tested at b are only those kept at a.
-    Only the reflections and gamma are read; the group is listed only
-    to check an explicit gamma.  Elements are sorted and covers ordered
-    by rank, then by their lower and upper ends.
+    the cycles of c, and each kept t gives b = a t as a two-entry edit
+    of a, read off t's root (``_times_reflection``).  t c and the
+    candidates tested at b are stored only when b is first reached in
+    its level: b^-1 gamma is the same from every lower cover, and each
+    lower cover's kept list holds every reflection below t c, as those
+    lie below c.  Only the reflections and gamma are read; the group is
+    listed only to check an explicit gamma.  Elements are sorted and
+    covers ordered by rank, then by their lower and upper ends.
     """
     if gamma is None:
         gamma = g.gamma
@@ -328,9 +346,14 @@ def noncrossing_lattice(
         for a in sorted(level):
             c, candidates = level[a]
             kept = _below(c, candidates)
-            above = {compose(a, t): (compose(t, c), kept) for *_, t in kept}
-            covers.extend((a, b) for b in sorted(above))
-            uppers.update(above)
+            above = []
+            for i, j, plus, t in kept:
+                b = _times_reflection(a, i, j, plus)
+                above.append(b)
+                if b not in uppers:
+                    uppers[b] = compose(t, c), kept
+            above.sort()
+            covers.extend((a, b) for b in above)
         level = uppers
         elements.extend(level)
     elements.sort()

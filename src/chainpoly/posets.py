@@ -3,10 +3,13 @@
 A ``Poset`` stores an element tuple plus its covers as index pairs.
 One construction core builds and checks from those pairs a topological
 order (no cycle) and strict up-closures (int bitmasks over indices, read
-downstream; no cover implied by others).  Builders and derived posets
-hand it positions; ``Poset(elements, covers)`` is the front for user
-input, resolving labels and rejecting duplicates, unknown ends and
-self-covers.  The label index and cover tuple are built when first read.
+downstream; no cover implied by others).  Builders, ``subposet`` and the
+general ``proper_part`` hand it positions; ``Poset(elements, covers)``
+is the front for user input, resolving labels and rejecting duplicates,
+unknown ends and self-covers.  ``adjoin_max`` and the bounding step of
+``rank_selected`` extend an order the core has already checked, so they
+derive its fields in O(n) instead.  The label index and cover tuple are
+built when first read.
 ``GradedBoundedPoset`` adds a unique minimum, a rank function raising by
 one along covers, and every maximal element in the top rank: the shape
 rank selection and flag vectors need.  Both are read off the covers:
@@ -56,6 +59,8 @@ class Poset:
     Elements may be any hashable objects; their given order fixes every
     iteration order downstream, so output is deterministic.
     """
+
+    _proper = None  # the checked proper part, kept by rank_selected
 
     def __init__(self, elements: Iterable, covers: Iterable):
         elements = tuple(elements)
@@ -185,8 +190,13 @@ class Poset:
 
         Nothing lies strictly between an extreme and another element, so
         the covers are the old ones between kept elements, sorted into
-        the order ``subposet`` lists them in.
+        the order ``subposet`` lists them in.  A rank selection returns
+        the poset it was bounded from: its elements are the selection's
+        between the two extremes, and its covers, listed level by level
+        in element order, are already sorted.
         """
+        if self._proper is not None:
+            return self._proper
         maxima = [i for i, above in enumerate(self._succ) if not above]
         drop = {ends[0] for ends in (self._minimal, maxima) if len(ends) == 1}
         new = [-1] * len(self._elements)
@@ -295,17 +305,23 @@ def _chain_sum(poset: Poset, keep: int, shift: Sequence[int]) -> int:
 def chain_polynomial(poset: Poset) -> Poly:
     """Sum of x^(number of elements) over all chains of the poset.
 
-    A pass in topological order finds the size H of a longest chain,
-    which bounds the degree and the slots; the chain sum, one slot per
-    element, is the polynomial packed into one int.
+    The size H of a longest chain bounds the degree and the slots; the
+    chain sum, one slot per element, is the polynomial packed into one
+    int.  In a graded bounded poset of rank n every maximal chain runs
+    from the minimum through one element of each rank to a maximal
+    element, all of rank n, so H = n + 1; other posets find H by a pass
+    in topological order.
     """
     n = len(poset)
-    size = [1] * n
-    for i in poset._topo:
-        for j in poset._succ[i]:
-            if size[j] <= size[i]:
-                size[j] = size[i] + 1
-    h = max(size, default=0)
+    if isinstance(poset, GradedBoundedPoset):
+        h = poset.rank + 1
+    else:
+        size = [1] * n
+        for i in poset._topo:
+            for j in poset._succ[i]:
+                if size[j] <= size[i]:
+                    size[j] = size[i] + 1
+        h = max(size, default=0)
     width = _chain_width(n, h)
     return Poly(_unpack(_chain_sum(poset, (1 << n) - 1, [width] * n), width, h + 1))
 
@@ -328,6 +344,18 @@ def _fresh_labels(existing, names):
     return out
 
 
+def _derived(elements, pairs, succ, topo, up, rank) -> GradedBoundedPoset:
+    """Graded bounded poset on fields derived from an order the
+    construction core has already checked, set as given.  Its minimum
+    is the first element of Kahn's order."""
+    out = GradedBoundedPoset.__new__(GradedBoundedPoset)
+    out._elements, out._pairs, out._succ = elements, pairs, succ
+    out._topo, out._up, out._rank = topo, up, rank
+    out._minimal = (topo[0],)
+    out._bottom = topo[0]
+    return out
+
+
 def adjoin_max(poset: GradedBoundedPoset) -> GradedBoundedPoset:
     """Copy of the poset with a new maximum above every maximal element.
 
@@ -335,21 +363,41 @@ def adjoin_max(poset: GradedBoundedPoset) -> GradedBoundedPoset:
     proper ranks 1..n are exactly the original positive ranks; this is
     the shape the flag and rank-selection machinery expects when the
     input itself is the object of interest (e.g. a simplicial poset).
+
+    The new top n lies above everything, so its fields come from the
+    checked input in O(n): each up-set gains bit n and the top's rank is
+    n + 1.  Kahn's order is the input's plus n: the top is queued only
+    when the last maximal element m is processed, and nothing follows m,
+    since each non-maximal element lies below a maximal one after it.
     """
     top = _fresh_labels(poset.elements, ["^1"])[0]
     n = len(poset)
-    pairs = list(poset._pairs)
-    pairs.extend((i, n) for i, above in enumerate(poset._succ) if not above)
-    return GradedBoundedPoset._from_pairs(poset.elements + (top,), pairs)
+    maxima = [i for i, above in enumerate(poset._succ) if not above]
+    succ = list(poset._succ)
+    for i in maxima:
+        succ[i] = (n,)
+    bit = 1 << n
+    return _derived(
+        poset.elements + (top,),
+        poset._pairs + [(i, n) for i in maxima],
+        tuple(succ) + ((),),
+        poset._topo + (n,),
+        tuple([u | bit for u in poset._up]) + (0,),
+        poset._rank + [poset.rank + 1],
+    )
 
 
 def _selection(poset: GradedBoundedPoset, t: Iterable) -> list:
-    """The ranks in t, ascending; each must be a proper rank of the poset."""
+    """The ranks in t, ascending; each must be a proper rank of the poset.
+
+    Each entry is checked before the set is built, which would merge
+    True and 2.0 into the ranks 1 and 2.
+    """
     n = poset.rank - 1
-    sel = set(t)
-    if any(type(r) is not int or r < 1 or r > n for r in sel):
+    t = tuple(t)
+    if any(type(r) is not int or r < 1 or r > n for r in t):
         raise DomainError("selected ranks must lie in 1..%d" % max(n, 0))
-    return sorted(sel)
+    return sorted(set(t))
 
 
 def rank_selected(poset: GradedBoundedPoset, t: Iterable) -> GradedBoundedPoset:
@@ -357,20 +405,27 @@ def rank_selected(poset: GradedBoundedPoset, t: Iterable) -> GradedBoundedPoset:
 
     Ranks are compressed to 1..len(t); the chosen original ranks are kept
     on the result as ``selected_ranks``.
+
+    The proper part P is built through the construction core from the
+    covers between consecutive selected levels, and ``proper_part()``
+    of the result returns it.  Bounding P is O(n): the bottom 0 lies
+    below everything, so its up-set is every other bit, and a kept
+    element's up-set is its up-set in P, shifted by one position, plus
+    the top.  Kahn's order is 0, then P's order shifted, then the top:
+    processing 0 queues P's minimal elements in P's own order, and the
+    top follows the last maximal element of P, which nothing follows.
     """
     sel = _selection(poset, t)
     bot, top = _fresh_labels(poset.elements, ["^0", "^1"])
     labels = poset.elements
     levels = [poset._levels[r] for r in sel]
     kept = [i for level in levels for i in level]
-    # kept element i sits at position[i] between the bottom 0 and the top
     position = [0] * len(poset)
-    for k, i in enumerate(kept, 1):
+    for k, i in enumerate(kept):
         position[i] = k
-    last = len(kept) + 1
-    pairs = [(0, position[i]) for i in levels[0]] if sel else [(0, 1)]
     # bits ascend in element order, as the levels do, so each element
     # lists its covers in the order of the level above
+    pairs = []
     up = poset._up
     for lower, upper in zip(levels, levels[1:]):
         above = sum(1 << j for j in upper)
@@ -380,9 +435,25 @@ def rank_selected(poset: GradedBoundedPoset, t: Iterable) -> GradedBoundedPoset:
                 low = mask & -mask
                 pairs.append((k, position[low.bit_length() - 1]))
                 mask ^= low
-    pairs.extend((position[i], last) for level in levels[-1:] for i in level)
-    elements = [bot] + [labels[i] for i in kept] + [top]
-    out = GradedBoundedPoset._from_pairs(elements, pairs)
+    inner = Poset._from_pairs([labels[i] for i in kept], pairs)
+    # inner element k sits at k + 1 between the bottom 0 and the top
+    last = len(kept) + 1
+    first = tuple(k + 1 for k in inner._minimal) or (last,)
+    maxima = [k + 1 for k, above in enumerate(inner._succ) if not above]
+    topbit = 1 << last
+    out = _derived(
+        (bot, *(labels[i] for i in kept), top),
+        [(0, k) for k in first]
+        + [(i + 1, j + 1) for i, j in pairs]
+        + [(k, last) for k in maxima],
+        (first,)
+        + tuple([tuple([j + 1 for j in s]) if s else (last,) for s in inner._succ])
+        + ((),),
+        (0, *(k + 1 for k in inner._topo), last),
+        (2 * topbit - 2, *[u << 1 | topbit for u in inner._up], 0),
+        [0, *(r for r, level in enumerate(levels, 1) for _ in level), len(sel) + 1],
+    )
+    out._proper = inner
     out.selected_ranks = tuple(sel)
     return out
 
@@ -430,10 +501,10 @@ class FlagVectors:
     _beta: list
 
     def _mask(self, t: Iterable) -> int:
-        t = frozenset(t)
+        t = tuple(t)  # each entry checked, before a set merges True into 1
         if any(type(r) is not int or r < 1 or r > self.n for r in t):
-            raise KeyError(t)
-        return sum(1 << (r - 1) for r in t)
+            raise KeyError(frozenset(t))
+        return sum(1 << (r - 1) for r in set(t))
 
     def alpha(self, t: Iterable) -> int:
         return self._alpha[self._mask(t)]

@@ -189,9 +189,10 @@ def stanley_flag_beta(poset: GradedBoundedPoset, s: Iterable) -> int:
     counts, read before the h-weighting, so a negative h_k is safe.
     """
     n = poset.rank
-    s = frozenset(s)
+    s = tuple(s)  # each entry checked, before a set merges True into 1
     if any(type(r) is not int or r < 1 or r > n for r in s):
         raise DomainError("rank subset must lie in 1..%d" % n)
+    s = frozenset(s)
     if not is_simplicial(poset):
         raise DomainError("poset is not simplicial")
     h = simplicial_h(poset).coeffs

@@ -87,7 +87,7 @@ def test_public_names_resolve():
 
 
 def test_poset_constructors_take_elements_and_covers():
-    # every poset is checked at construction; no argument turns that off
+    # both constructors check every input; no argument turns that off
     for cls in (chainpoly.Poset, chainpoly.GradedBoundedPoset):
         assert list(inspect.signature(cls).parameters) == ["elements", "covers"]
 

@@ -34,6 +34,7 @@ from chainpoly.coxeter import (
     _below,
     _h_from_degrees,
     _root,
+    _times_reflection,
     _veronese_product,
     compose,
 )
@@ -195,6 +196,19 @@ RULE_TYPES = (
 )
 
 
+def _random_element(rng, fam, n):
+    """A random signed permutation of the family: no signs for A, any
+    signs for B, an even number of negative entries for D."""
+    w = list(range(1, n + 1))
+    rng.shuffle(w)
+    if fam != "A":
+        signs = [rng.choice((1, -1)) for _ in w]
+        if fam == "D" and signs.count(-1) % 2:
+            signs[0] = -signs[0]
+        w = [s * v for s, v in zip(signs, w)]
+    return tuple(w)
+
+
 @pytest.mark.parametrize("fam,k", RULE_TYPES)
 def test_mov_rule_matches_absolute_length(fam, k):
     """For every reflection t and random c, t is kept exactly when
@@ -207,14 +221,8 @@ def test_mov_rule_matches_absolute_length(fam, k):
     rng = random.Random(k)
     odd_cycles = 0
     for trial in range(60):
-        w = list(range(1, n + 1))
-        rng.shuffle(w)
-        if fam != "A":
-            signs = [rng.choice((1, -1)) for _ in w]
-            if fam == "D" and signs.count(-1) % 2:
-                signs[0] = -signs[0]
-            w = [s * v for s, v in zip(signs, w)]
-        c = g.identity if trial == 0 else g.gamma if trial == 1 else tuple(w)
+        w = _random_element(rng, fam, n)
+        c = g.identity if trial == 0 else g.gamma if trial == 1 else w
         # l(c) is n minus the cycles with an even number of negatives
         odd_cycles += _absolute_length(c) > n - _cycle_count(c)
         kept = [t for *_, t in _below(c, candidates)]
@@ -224,6 +232,21 @@ def test_mov_rule_matches_absolute_length(fam, k):
         ]
         assert kept == want, c
     assert odd_cycles > 10 or fam == "A"
+
+
+@pytest.mark.parametrize("fam,k", RULE_TYPES)
+def test_reflection_edit_matches_compose(fam, k):
+    """a t as the two-entry edit read off t's root equals compose(a, t)
+    for every reflection t, with a the identity, gamma and 50 random
+    group elements."""
+    g = build_reflection_group(CoxeterType(fam, k), max_order=10 ** 7)
+    rng = random.Random(100 + k)
+    elements = [g.identity, g.gamma]
+    elements += [_random_element(rng, fam, g.degree) for _ in range(50)]
+    for t in g.reflections:
+        i, j, plus = _root(t)
+        for a in elements:
+            assert _times_reflection(a, i, j, plus) == compose(a, t), (a, t)
 
 
 def _cycle_count(c):

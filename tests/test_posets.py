@@ -233,6 +233,53 @@ def test_index_entry_checked_like_label_front():
     assert outcomes.get("cycle", 0) > 50 and outcomes.get("transitivity", 0) > 50, outcomes
 
 
+def shuffled_graded_poset(rng, rank):
+    """random_graded_poset relabelled by ints and strs, "^0", "^1" and
+    "^1'" among them, with its elements and its covers each listed in
+    random order, so that Kahn's order is not the index order."""
+    p = random_graded_poset(rng, rank)
+    pool = ["^0", "^1", "^1'"] + list(range(len(p))) + ["v%d" % k for k in range(len(p))]
+    name = dict(zip(p.elements, rng.sample(pool, len(p))))
+    elements = list(name.values())
+    rng.shuffle(elements)
+    covers = [(name[x], name[y]) for x, y in p.covers]
+    rng.shuffle(covers)
+    return GradedBoundedPoset(elements, covers)
+
+
+DERIVED_FIELDS = ("_up", "_topo", "_minimal", "_succ", "covers", "_rank", "_bottom")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 2 ** 32))
+@example(0, 0)
+def test_derived_posets_match_label_rebuild(rank, seed):
+    """adjoin_max, and the rank selections of it and of its input by
+    every T, equal their rebuilds from labels field by field; each
+    selection's stored proper part equals the pairwise subposet in
+    elements and cover order, and every chain polynomial equals the
+    pairwise count.  Rank 0 is the one-element poset."""
+    p = shuffled_graded_poset(random.Random(seed), rank)
+    hat = adjoin_max(p)
+    selections = [
+        rank_selected(q, t)
+        for q in (p, hat)
+        for k in range(q.rank)
+        for t in combinations(range(1, q.rank), k)
+    ]
+    for d in [hat] + selections:
+        q = type(d)(d.elements, d.covers)
+        for field in DERIVED_FIELDS:
+            assert getattr(d, field) == getattr(q, field), field
+    for d in [p, hat] + selections:
+        assert chain_polynomial(d) == chain_polynomial_pairwise(d)
+    for d in selections:
+        inner = d.proper_part()
+        want = subposet_pairwise(d, d.elements[1:-1])
+        assert (inner.elements, inner.covers) == (want.elements, want.covers)
+        assert chain_polynomial(inner) == chain_polynomial_pairwise(inner)
+
+
 def test_derived_posets_build_no_label_index():
     b3 = boolean_lattice(3)
     hat = adjoin_max(b3)
@@ -253,12 +300,23 @@ def test_rank_sets_reject_bools():
         rank_selected(hat, {1, "a"})
     with pytest.raises(DomainError, match="selected ranks must lie in 1..3"):
         rank_selected_h(hat, {1, None})
+    # each entry is checked, not the set it dedupes to: {1, True} == {1}
+    with pytest.raises(DomainError, match="selected ranks must lie in 1..3"):
+        rank_selected(hat, [1, True])
+    with pytest.raises(DomainError, match="selected ranks must lie in 1..3"):
+        rank_selected_h(hat, [2, 2.0])
     fv = flag_vectors(hat)
     with pytest.raises(KeyError):
         fv.alpha({True, 2})
     with pytest.raises(KeyError):
         fv.beta({1.0})
+    with pytest.raises(KeyError):
+        fv.alpha([1, True])
+    with pytest.raises(KeyError):
+        fv.beta([3, 3.0])
     assert fv.alpha({1, 2}) == 6
+    assert fv.alpha([1, 1, 2]) == 6
+    assert rank_selected(hat, [2, 2]).selected_ranks == (2,)
 
 
 def test_cycle_rejected():

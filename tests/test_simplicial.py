@@ -321,6 +321,12 @@ def test_stanley_flag_beta_rejects_bools():
     # True == 1, but it is no rank
     with pytest.raises(DomainError, match="rank subset must lie in 1..3"):
         stanley_flag_beta(boolean_lattice(3), {True})
+    # each entry is checked, not the set it dedupes to: {1, True} == {1}
+    with pytest.raises(DomainError, match="rank subset must lie in 1..3"):
+        stanley_flag_beta(boolean_lattice(3), [1, True])
+    with pytest.raises(DomainError, match="rank subset must lie in 1..3"):
+        stanley_flag_beta(boolean_lattice(3), [2, 2.0])
+    assert stanley_flag_beta(boolean_lattice(3), [1, 1]) == 2
 
 
 def test_order_complex_h_from_simplicial_h():
