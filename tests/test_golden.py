@@ -18,7 +18,12 @@ was still a depth-first walk over rank subsets.  The error records
 (``poset square.json`` with an out-of-range selection, ``ant --brute
 --colored --gessel``, ``certify --symdec 0`` and ``certify
 --interlaces`` on a malformed polynomial) hold only the error line: a
-failed command drops whatever it reported before failing.
+failed command drops whatever it reported before failing.  The batch
+``repeats.txt`` runs all five subcommands with adjacent and distant
+exact repeats of exit-0, exit-1, exit-2 (a domain error and a usage
+error) and exit-3 lines, ``poset --flags --certify`` on ``face.json``
+and ``square.json`` among them; it was recorded while every batch line
+still ran afresh.
 Default output must not change, so any difference is a regression.
 """
 
