@@ -5,7 +5,12 @@ polynomials (nc), poset invariants from JSON files (poset), polynomial
 certifications (certify) and word enumerators (words).  Reports are
 printed as a bare coefficient line followed by key=value lines, or as a
 single JSON object with --json.  Batch mode reads one JSON argv array
-per line and emits one JSON report per line, in order.
+per line and emits one JSON report per line, in order.  Within one
+batch call an exact repeat of an earlier line prints that line's record
+again without rerunning it, when the record exited 0 or 1 and the line
+has no --timing; a poset line is a repeat only while its file holds the
+same bytes, and one whose file cannot be read always runs.  At most
+1024 records are kept, the oldest dropped first.
 
 Exit codes: 0 success / property holds, 1 a certified property fails,
 2 invalid input or domain error, 3 resource cap exceeded; a command
@@ -45,6 +50,7 @@ from .descents import (
 )
 from .errors import DomainError, GradedStructureError, ResourceLimitError
 from .polynomials import (
+    _MEMO_SIZE,
     Poly,
     format_poly,
     has_nonneg_coeffs,
@@ -246,11 +252,11 @@ def cmd_poset(ns, rep: Report) -> int:
             raise GradedStructureError(
                 "flag vectors need a graded bounded poset"
             )
-        fv = flag_vectors(poset)
-        for s in fv.subsets():
-            rep.add("alpha:%s" % _format_set(s), fv.alpha(s))
-        for s in fv.subsets():
-            rep.add("beta:%s" % _format_set(s), fv.beta(s))
+        table = [(_format_set(t), a, b) for t, a, b in flag_vectors(poset).table()]
+        for label, a, _ in table:
+            rep.add("alpha:" + label, a)
+        for label, _, b in table:
+            rep.add("beta:" + label, b)
     if ns.certify:
         ok = _certification_lines(rep, f)
         return 0 if ok else 1
@@ -441,7 +447,45 @@ def _render(rep: Report, code: int, as_json: bool, batch: bool = False):
         return _render(err, 3, as_json, batch)
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    """Each subcommand's own parser, by name."""
+    return next(
+        a.choices for a in parser._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+
+
+def _parse_line(parser: argparse.ArgumentParser, commands: dict, tokens: list):
+    """The Namespace parser.parse_args(tokens) gives, or its SystemExit.
+    A line that starts with a subcommand goes straight to that
+    subcommand's parser, which skips the top parser's pass over it."""
+    if tokens and tokens[0] in commands:
+        ns = commands[tokens[0]].parse_args(tokens[1:])
+        ns.command, ns.batch = tokens[0], None
+        return ns
+    return parser.parse_args(tokens)
+
+
+def _reuse_key(tokens: list, ns):
+    """The key under which a batch line's record may be reused, or None
+    when it must always run: a --timing line, and a poset line whose file
+    cannot be read.  A poset line is keyed by its file's bytes too."""
+    if ns.timing:
+        return None
+    if ns.command != "poset":
+        return tuple(tokens)
+    try:
+        with open(ns.file, "rb") as fh:
+            return tuple(tokens), fh.read()
+    except (OSError, ValueError, MemoryError):
+        # a NUL in the path raises ValueError, an endless device
+        # MemoryError; the line runs and reports its own error
+        return None
+
+
 def _run_batch(parser: argparse.ArgumentParser, path: str) -> int:
+    commands = _subcommands(parser)
+    records = {}  # reuse key -> (printed record, exit code), oldest first
     worst = 0
     try:
         # bytes, so that an undecodable line fails on its own
@@ -466,7 +510,7 @@ def _run_batch(parser: argparse.ArgumentParser, path: str) -> int:
             # may reach the JSONL stream
             sink = io.StringIO()
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-                ns = parser.parse_args(tokens)
+                ns = _parse_line(parser, commands, tokens)
             if ns.command is None:
                 raise ValueError("batch line is missing a subcommand")
         except (ValueError, RecursionError, SystemExit) as exc:
@@ -474,8 +518,16 @@ def _run_batch(parser: argparse.ArgumentParser, path: str) -> int:
             print(json.dumps({"error": msg, "exit": 2}))
             worst = max(worst, 2)
             continue
-        rep, code = run_command(ns)
-        text, code = _render(rep, code, True, batch=True)
+        key = _reuse_key(tokens, ns)
+        if key in records:
+            text, code = records[key]
+        else:
+            rep, code = run_command(ns)
+            text, code = _render(rep, code, True, batch=True)
+            if key is not None and code <= 1:
+                records[key] = text, code
+                if len(records) > _MEMO_SIZE:
+                    del records[next(iter(records))]
         print(text)
         worst = max(worst, code)
     return worst

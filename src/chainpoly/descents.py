@@ -321,9 +321,9 @@ def expected_descents(n: int, allowed: Iterable) -> Fraction:
     a = [0] + t + [n]
     c = [a[i + 1] - a[i] for i in range(len(a) - 1)]
     r = len(t)
-    return Fraction(r) - sum(
-        Fraction(1, math.comb(c[i] + c[i + 1], c[i])) for i in range(r)
-    )
+    binomials = [math.comb(c[i] + c[i + 1], c[i]) for i in range(r)]
+    lcm = math.lcm(*binomials)
+    return Fraction(r * lcm - sum(lcm // b for b in binomials), lcm)
 
 
 def descent_mean_variance(n: int, allowed: Iterable) -> tuple:

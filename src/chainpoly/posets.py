@@ -38,6 +38,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from operator import sub
 from typing import Iterable, Sequence
 
@@ -512,12 +513,20 @@ class FlagVectors:
     def beta(self, t: Iterable) -> int:
         return self._beta[self._mask(t)]
 
+    def _ordered(self):
+        """Each subset T of 1..n with its bitmask, by size, then
+        lexicographically.  Rank 0 has n = -1 and the empty set alone."""
+        ranks = range(1, self.n + 1)
+        for size in range(max(self.n, 0) + 1):
+            for t in combinations(ranks, size):
+                yield frozenset(t), sum(1 << (r - 1) for r in t)
+
     def subsets(self) -> tuple:
-        every = (
-            frozenset(r + 1 for r in range(self.n) if (mask >> r) & 1)
-            for mask in range(len(self._alpha))
-        )
-        return tuple(sorted(every, key=lambda s: (len(s), sorted(s))))
+        return tuple(t for t, _ in self._ordered())
+
+    def table(self) -> tuple:
+        """(T, alpha(T), beta(T)) for every T, in the order of subsets()."""
+        return tuple((t, self._alpha[m], self._beta[m]) for t, m in self._ordered())
 
 
 def flag_vectors(poset: GradedBoundedPoset) -> FlagVectors:
@@ -566,10 +575,10 @@ def load_poset(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
-        raise PosetFileError(str(exc)) from None
     except UnicodeDecodeError:
         raise PosetFileError("file is not valid UTF-8") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise PosetFileError(str(exc)) from None
     try:
         data = json.loads(text)
     except ValueError as exc:
@@ -598,7 +607,7 @@ def load_poset(path: str):
     if bottom is not None:
         names.append(bottom)
     # true and 1.0 would pass for the element 1
-    if any(type(x) not in (str, int) for x in names):
+    if not set(map(type, names)) <= {str, int}:
         raise PosetFileError("element names must be strings or integers")
     ranks = data.get("ranks")
     if ranks is not None:

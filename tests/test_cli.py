@@ -21,6 +21,7 @@ from chainpoly import (
     nc_h_formula,
     symmetric_decomposition,
 )
+from chainpoly import cli
 from chainpoly.cli import main
 
 SQUARE = str(Path(__file__).parent / "golden" / "square.json")
@@ -627,6 +628,97 @@ def test_batch_survives_undecodable_and_deep_lines(tmp_path, capsys):
     assert records[6]["coefficients"] == [1, 275, 842, 232]
 
 
+def test_nul_in_poset_path(tmp_path, capsys):
+    # open() raises ValueError, not OSError, on a NUL in the path
+    batch = tmp_path / "batch.txt"
+    batch.write_text("\n".join(json.dumps(line) for line in [
+        ["poset", "a\x00b"], ["poset", "a\x00b", "--flags"], ["ant", "3", "-"],
+    ]) + "\n")
+    code, out, _ = run_cli(capsys, "--batch", str(batch))
+    records = [json.loads(l) for l in out.strip().splitlines()]
+    assert code == 2
+    assert [r["exit"] for r in records] == [2, 2, 0]
+    assert records[0]["error"] == "embedded null byte"
+
+
+def _batch(tmp_path, capsys, lines):
+    """Exit code and records of one batch call over lines."""
+    path = tmp_path / "batch.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    code = main(["--batch", str(path)])
+    return code, capsys.readouterr().out.splitlines()
+
+
+def _count_runs(monkeypatch, side_effects=None):
+    """The subcommands run, in order; side_effects maps a subcommand to a
+    call made before it runs."""
+    runs = []
+    for name, command in list(cli.COMMANDS.items()):
+        def counted(ns, rep, name=name, command=command):
+            runs.append(name)
+            (side_effects or {}).get(name, lambda: None)()
+            return command(ns, rep)
+        monkeypatch.setitem(cli.COMMANDS, name, counted)
+    return runs
+
+
+def test_batch_repeat_reuses_its_record(tmp_path, capsys, monkeypatch):
+    runs = _count_runs(monkeypatch)
+    a, b = ["ant", "3", "1,2"], ["certify", "1,1,1"]
+    code, out = _batch(tmp_path, capsys, [a, b, a, b, a + ["--json"], ["ant", "3"], a])
+    assert runs == ["ant", "certify", "ant"]  # --json makes another line
+    assert code == 2
+    assert out[0] == out[2] == out[4] == out[6] and out[1] == out[3]
+    assert [json.loads(l)["exit"] for l in out] == [0, 1, 0, 1, 0, 2, 0]
+    # the exit 1 of a reused record counts towards the batch exit
+    code, out = _batch(tmp_path, capsys, [b, a, b])
+    assert code == 1 and out[0] == out[2]
+
+
+def test_batch_rekeys_a_rewritten_poset_file(tmp_path, capsys, monkeypatch):
+    poset = tmp_path / "p.json"
+    square = Path(SQUARE).read_bytes()
+    chain = json.dumps({"elements": ["0", "1", "2"], "covers": [["0", "1"], ["1", "2"]]})
+    writes = iter([lambda: poset.write_text(chain), lambda: poset.write_bytes(square),
+                   lambda: poset.write_bytes(square), poset.unlink])
+    runs = _count_runs(monkeypatch, {"words": lambda: next(writes)()})
+    line, between = ["poset", str(poset), "--flags"], ["words", "d", "4"]
+    poset.write_bytes(square)
+    code, out = _batch(tmp_path, capsys, [
+        line, between, line, between + ["--json"], line, between + ["--timing"], line,
+        ["words", "d", "4", "--json", "--timing"], line,
+    ])
+    records = [json.loads(l) for l in out]
+    polys = [r.get("coefficients") for r in records[::2]]
+    # square, chain, square again (both records kept), the same bytes
+    # rewritten, and then no file at all
+    assert polys == [[1, 4, 5, 2], [1, 3, 3, 1], [1, 4, 5, 2], [1, 4, 5, 2], None]
+    assert out[4] == out[0] == out[6]
+    assert records[8]["exit"] == code == 2
+    assert runs == ["poset", "words", "poset", "words", "words", "words", "poset"]
+
+
+def test_batch_reruns_timing_and_failed_lines(tmp_path, capsys, monkeypatch):
+    runs = _count_runs(monkeypatch)
+    timing, bad, big = ["ant", "3", "1,2", "--timing"], ["certify", "1,x"], ["nc", "A9", "--oracle"]
+    missing = ["poset", str(tmp_path / "missing.json")]
+    code, out = _batch(tmp_path, capsys, [timing, bad, big, missing] * 2)
+    assert runs == ["ant", "certify", "nc", "poset"] * 2
+    assert [json.loads(l)["exit"] for l in out] == [0, 2, 3, 2] * 2
+    assert code == 3
+
+
+def test_batch_keeps_the_newest_records(tmp_path, capsys, monkeypatch):
+    a, b, c = ["ant", "3", "1,2"], ["nc", "H3"], ["words", "d", "4"]
+    runs = _count_runs(monkeypatch)
+    _batch(tmp_path, capsys, [a, b, c, a])
+    assert runs == ["ant", "nc", "words"]
+    runs.clear()
+    monkeypatch.setattr(cli, "_MEMO_SIZE", 2)
+    _batch(tmp_path, capsys, [a, b, c, a, c])
+    assert runs == ["ant", "nc", "words", "ant"]
+
+
 def test_poset_unhashable_element(tmp_path, capsys):
     path = tmp_path / "listy.json"
     path.write_text(json.dumps({"elements": [["a"], "b"], "covers": []}))
@@ -801,6 +893,42 @@ def argvs(draw):
 @settings(max_examples=300, deadline=None)
 def test_fuzzed_argv_keeps_the_exit_contract(argv):
     assert _run_main(argv)[0] in (0, 1, 2, 3), argv
+
+
+def _parsed(parse, tokens):
+    """vars() of what parse(tokens) returns, or its SystemExit code."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            return vars(parse(tokens))
+        except SystemExit as exc:
+            return exc.code
+
+
+@st.composite
+def line_tokens(draw):
+    """An argv with up to two tokens slipped in: help, the end of
+    options, a nested or spelled-out --batch, or a subcommand name."""
+    argv = draw(argvs())
+    for _ in range(draw(st.integers(0, 2))):
+        token = draw(st.sampled_from(["-h", "--", "--batch", "--batch=x", "--bat",
+                                      "antt", "poset", "nc", "--json"]))
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+PARSER = cli.build_parser()
+
+
+@given(line_tokens())
+@settings(max_examples=400, deadline=None)
+@example(["ant", "--", "3", "1,2"])
+@example(["--", "nc", "A3"])
+@example(["ant", "3", "1,2", "--batch", "x"])
+@example(["--batch=x", "nc", "A3"])
+def test_batch_parse_route_matches_the_top_parser(tokens):
+    route = _parsed(lambda t: cli._parse_line(PARSER, cli._subcommands(PARSER), t), tokens)
+    assert route == _parsed(PARSER.parse_args, tokens)
 
 
 bad_lines = st.sampled_from(
