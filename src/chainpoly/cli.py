@@ -10,7 +10,8 @@ batch call an exact repeat of an earlier line prints that line's record
 again without rerunning it, when the record exited 0 or 1 and the line
 has no --timing; a poset line is a repeat only while its file holds the
 same bytes, and one whose file cannot be read always runs.  At most
-1024 records are kept, the oldest dropped first.
+1024 records, and 1024 file contents (one copy each, shared by the
+lines that read it), are kept, the oldest dropped first.
 
 Exit codes: 0 success / property holds, 1 a certified property fails,
 2 invalid input or domain error, 3 resource cap exceeded; a command
@@ -62,9 +63,11 @@ from .polynomials import (
 )
 from .posets import (
     GradedBoundedPoset,
+    PosetFileError,
+    _parse_poset,
+    _read_poset,
     chain_polynomial,
     flag_vectors,
-    load_poset,
     rank_selected_h,
 )
 from .realroots import interlaces, is_real_rooted
@@ -231,7 +234,12 @@ def cmd_nc(ns, rep: Report) -> int:
 
 
 def cmd_poset(ns, rep: Report) -> int:
-    poset = load_poset(ns.file)
+    # a batch line carries what the one read for its reuse key gave: the
+    # file's bytes, or the error the read raised
+    raw = getattr(ns, "raw", None)
+    if isinstance(raw, Exception):
+        raise raw
+    poset = _parse_poset(_read_poset(ns.file) if raw is None else raw)
     f = chain_polynomial(poset)
     rep.add("coefficients", f)
     rep.add("file", ns.file)
@@ -252,11 +260,12 @@ def cmd_poset(ns, rep: Report) -> int:
             raise GradedStructureError(
                 "flag vectors need a graded bounded poset"
             )
-        table = [(_format_set(t), a, b) for t, a, b in flag_vectors(poset).table()]
-        for label, a, _ in table:
-            rep.add("alpha:" + label, a)
-        for label, _, b in table:
-            rep.add("beta:" + label, b)
+        fv = flag_vectors(poset)
+        subsets = fv.subsets()
+        for s in subsets:
+            rep.add("alpha:%s" % _format_set(s), fv.alpha(s))
+        for s in subsets:
+            rep.add("beta:%s" % _format_set(s), fv.beta(s))
     if ns.certify:
         ok = _certification_lines(rep, f)
         return 0 if ok else 1
@@ -304,7 +313,8 @@ def cmd_words(ns, rep: Report) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple:
+    """The top parser, and each subcommand's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="chainpoly",
         description="Exact descent enumerators, chain polynomials and "
@@ -401,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("r", type=int, nargs="?")
     common(p)
 
-    return parser
+    return parser, sub.choices
 
 
 COMMANDS = {
@@ -447,45 +457,51 @@ def _render(rep: Report, code: int, as_json: bool, batch: bool = False):
         return _render(err, 3, as_json, batch)
 
 
-def _subcommands(parser: argparse.ArgumentParser) -> dict:
-    """Each subcommand's own parser, by name."""
-    return next(
-        a.choices for a in parser._actions
-        if isinstance(a, argparse._SubParsersAction)
-    )
-
-
 def _parse_line(parser: argparse.ArgumentParser, commands: dict, tokens: list):
-    """The Namespace parser.parse_args(tokens) gives, or its SystemExit.
-    A line that starts with a subcommand goes straight to that
-    subcommand's parser, which skips the top parser's pass over it."""
+    """parser.parse_args(tokens): the same Namespace, or the same exit with
+    the same output.  A line that starts with a subcommand goes straight to
+    that subcommand's parser, which skips the top parser's pass over it;
+    should that parser stop on the line (an error, or -h), its output is
+    dropped and the top parser reads the line as it always has."""
     if tokens and tokens[0] in commands:
-        ns = commands[tokens[0]].parse_args(tokens[1:])
-        ns.command, ns.batch = tokens[0], None
-        return ns
+        sink = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                ns = commands[tokens[0]].parse_args(tokens[1:])
+        except SystemExit:
+            pass
+        else:
+            ns.command, ns.batch = tokens[0], None
+            return ns
     return parser.parse_args(tokens)
 
 
-def _reuse_key(tokens: list, ns):
+def _reuse_key(tokens: list, ns, files: dict):
     """The key under which a batch line's record may be reused, or None
-    when it must always run: a --timing line, and a poset line whose file
-    cannot be read.  A poset line is keyed by its file's bytes too."""
+    when the line must always run: a --timing line, and a poset line whose
+    file cannot be read.  A poset line reads its file here, once: the key
+    holds the bytes, and ns.raw hands them, or the error the read raised,
+    on to cmd_poset.  files keeps one copy of each content, shared by
+    every line that reads it, for at most _MEMO_SIZE contents."""
     if ns.timing:
         return None
     if ns.command != "poset":
         return tuple(tokens)
     try:
-        with open(ns.file, "rb") as fh:
-            return tuple(tokens), fh.read()
-    except (OSError, ValueError, MemoryError):
-        # a NUL in the path raises ValueError, an endless device
-        # MemoryError; the line runs and reports its own error
+        raw = _read_poset(ns.file)
+    except (PosetFileError, MemoryError) as exc:
+        # an endless device fills memory; the line reports it as exit 3
+        ns.raw = exc
         return None
+    ns.raw = raw = files.setdefault(raw, raw)
+    if len(files) > _MEMO_SIZE:
+        del files[next(iter(files))]
+    return tuple(tokens), raw
 
 
-def _run_batch(parser: argparse.ArgumentParser, path: str) -> int:
-    commands = _subcommands(parser)
+def _run_batch(parser: argparse.ArgumentParser, commands: dict, path: str) -> int:
     records = {}  # reuse key -> (printed record, exit code), oldest first
+    files = {}  # poset file bytes -> the same bytes, oldest first
     worst = 0
     try:
         # bytes, so that an undecodable line fails on its own
@@ -518,7 +534,7 @@ def _run_batch(parser: argparse.ArgumentParser, path: str) -> int:
             print(json.dumps({"error": msg, "exit": 2}))
             worst = max(worst, 2)
             continue
-        key = _reuse_key(tokens, ns)
+        key = _reuse_key(tokens, ns, files)
         if key in records:
             text, code = records[key]
         else:
@@ -534,12 +550,12 @@ def _run_batch(parser: argparse.ArgumentParser, path: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    parser, commands = build_parser()
+    ns = _parse_line(parser, commands, sys.argv[1:] if argv is None else argv)
     if ns.batch is not None:
         if ns.command is not None:
             parser.error("--batch replaces the subcommand")
-        return _run_batch(parser, ns.batch)
+        return _run_batch(parser, commands, ns.batch)
     if ns.command is None:
         parser.print_usage(sys.stderr)
         return 2

@@ -513,20 +513,15 @@ class FlagVectors:
     def beta(self, t: Iterable) -> int:
         return self._beta[self._mask(t)]
 
-    def _ordered(self):
-        """Each subset T of 1..n with its bitmask, by size, then
-        lexicographically.  Rank 0 has n = -1 and the empty set alone."""
-        ranks = range(1, self.n + 1)
-        for size in range(max(self.n, 0) + 1):
-            for t in combinations(ranks, size):
-                yield frozenset(t), sum(1 << (r - 1) for r in t)
-
     def subsets(self) -> tuple:
-        return tuple(t for t, _ in self._ordered())
-
-    def table(self) -> tuple:
-        """(T, alpha(T), beta(T)) for every T, in the order of subsets()."""
-        return tuple((t, self._alpha[m], self._beta[m]) for t, m in self._ordered())
+        """Every subset T of 1..n, by size, then lexicographically.  Rank
+        0 has n = -1 and the empty set alone."""
+        ranks = range(1, self.n + 1)
+        return tuple(
+            frozenset(t)
+            for size in range(max(self.n, 0) + 1)
+            for t in combinations(ranks, size)
+        )
 
 
 def flag_vectors(poset: GradedBoundedPoset) -> FlagVectors:
@@ -572,13 +567,26 @@ def load_poset(path: str):
     Malformed files raise PosetFileError with a line number when the JSON
     parser provides one.
     """
+    return _parse_poset(_read_poset(path))
+
+
+def _read_poset(path: str) -> bytes:
+    """The bytes of a poset file; a failed read raises PosetFileError."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except UnicodeDecodeError:
-        raise PosetFileError("file is not valid UTF-8") from None
+        with open(path, "rb") as handle:
+            return handle.read()
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise PosetFileError(str(exc)) from None
+
+
+def _parse_poset(raw: bytes):
+    """load_poset on the bytes of a file already read."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise PosetFileError("file is not valid UTF-8") from None
+    # the newlines text mode reads, so that JSON error lines count as before
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         data = json.loads(text)
     except ValueError as exc:

@@ -708,6 +708,54 @@ def test_batch_reruns_timing_and_failed_lines(tmp_path, capsys, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_batch_reads_a_piped_poset_once(tmp_path, capsys):
+    # a pipe gives its bytes to one read only: the reuse key and the
+    # command must share it
+    r, w = os.pipe()
+    os.write(w, Path(SQUARE).read_bytes())
+    os.close(w)
+    try:
+        code, out = _batch(tmp_path, capsys, [
+            ["poset", "/dev/fd/%d" % r, "--flags", "--certify"],
+            ["poset", SQUARE, "--flags", "--certify"],
+        ])
+    finally:
+        os.close(r)
+    piped, plain = (json.loads(l) for l in out)
+    assert piped.pop("file") != plain.pop("file")
+    assert piped == plain and code == 0
+
+
+def test_batch_reads_a_failing_poset_once(tmp_path, capsys, monkeypatch):
+    # an endless device fills memory on its one read; the error reaches
+    # the record without a second read
+    reads = []
+
+    def endless(path):
+        reads.append(path)
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_read_poset", endless)
+    code, out = _batch(tmp_path, capsys, [["poset", "endless"]])
+    assert json.loads(out[0]) == {"error": "out of memory", "exit": 3}
+    assert code == 3 and reads == ["endless"]
+
+
+def test_batch_lines_share_one_copy_of_a_file(tmp_path, monkeypatch):
+    lines = [["poset", SQUARE], ["poset", SQUARE, "--flags"], ["poset", SQUARE, "--json"]]
+    files = {}
+    keys = [cli._reuse_key(t, PARSER.parse_args(t), files) for t in lines]
+    assert keys[0][1] is keys[1][1] is keys[2][1] and len(files) == 1
+    # past the bound the oldest content goes
+    other = tmp_path / "chain.json"
+    other.write_text(json.dumps({"elements": ["0", "1"], "covers": [["0", "1"]]}))
+    monkeypatch.setattr(cli, "_MEMO_SIZE", 1)
+    line = ["poset", str(other)]
+    cli._reuse_key(line, PARSER.parse_args(line), files)
+    assert list(files) == [other.read_bytes()]
+
+
 def test_batch_keeps_the_newest_records(tmp_path, capsys, monkeypatch):
     a, b, c = ["ant", "3", "1,2"], ["nc", "H3"], ["words", "d", "4"]
     runs = _count_runs(monkeypatch)
@@ -896,13 +944,14 @@ def test_fuzzed_argv_keeps_the_exit_contract(argv):
 
 
 def _parsed(parse, tokens):
-    """vars() of what parse(tokens) returns, or its SystemExit code."""
+    """vars() of what parse(tokens) returns, or its SystemExit code, and
+    the text it printed."""
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         try:
-            return vars(parse(tokens))
+            return vars(parse(tokens)), sink.getvalue()
         except SystemExit as exc:
-            return exc.code
+            return exc.code, sink.getvalue()
 
 
 @st.composite
@@ -917,7 +966,7 @@ def line_tokens(draw):
     return argv
 
 
-PARSER = cli.build_parser()
+PARSER, COMMANDS = cli.build_parser()
 
 
 @given(line_tokens())
@@ -926,8 +975,9 @@ PARSER = cli.build_parser()
 @example(["--", "nc", "A3"])
 @example(["ant", "3", "1,2", "--batch", "x"])
 @example(["--batch=x", "nc", "A3"])
-def test_batch_parse_route_matches_the_top_parser(tokens):
-    route = _parsed(lambda t: cli._parse_line(PARSER, cli._subcommands(PARSER), t), tokens)
+def test_parse_route_matches_the_top_parser(tokens):
+    # the same Namespace or exit code, and the same help or usage text
+    route = _parsed(lambda t: cli._parse_line(PARSER, COMMANDS, t), tokens)
     assert route == _parsed(PARSER.parse_args, tokens)
 
 

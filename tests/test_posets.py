@@ -468,13 +468,11 @@ def test_flag_vectors_boolean_3():
 
 
 @pytest.mark.parametrize("rank", range(6))
-def test_flag_table_follows_subsets(rank):
-    # subsets() by size, then lexicographically; table() reads alpha and
-    # beta in that order, the empty set alone at rank 0
+def test_flag_subsets_order(rank):
+    # by size, then lexicographically, the empty set alone at rank 0
     fv = flag_vectors(boolean_lattice(rank))
     every = [frozenset(c) for k in range(rank) for c in combinations(range(1, rank), k)]
     assert list(fv.subsets()) == sorted(every or [frozenset()], key=lambda t: (len(t), sorted(t)))
-    assert fv.table() == tuple((t, fv.alpha(t), fv.beta(t)) for t in fv.subsets())
 
 
 def test_flag_beta_inclusion_exclusion():
