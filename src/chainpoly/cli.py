@@ -5,13 +5,13 @@ polynomials (nc), poset invariants from JSON files (poset), polynomial
 certifications (certify) and word enumerators (words).  Reports are
 printed as a bare coefficient line followed by key=value lines, or as a
 single JSON object with --json.  Batch mode reads one JSON argv array
-per line and emits one JSON report per line, in order.  Within one
-batch call an exact repeat of an earlier line prints that line's record
-again without rerunning it, when the record exited 0 or 1 and the line
-has no --timing; a poset line is a repeat only while its file holds the
-same bytes, and one whose file cannot be read always runs.  At most
-1024 records, and 1024 file contents (one copy each, shared by the
-lines that read it), are kept, the oldest dropped first.
+per line and prints one JSON report per line, in order, as the lines
+arrive; a line that parses to a nested --batch, in any spelling, is
+refused.  Within one batch call an exact repeat of a line that exited 0
+or 1 without --timing prints its record again without rerunning it; a
+poset line repeats only while its file holds the same bytes.  At most
+1024 records and 1024 file contents (one copy each) are kept, the
+oldest dropped first.
 
 Exit codes: 0 success / property holds, 1 a certified property fails,
 2 invalid input or domain error, 3 resource cap exceeded; a command
@@ -438,7 +438,7 @@ def run_command(ns) -> tuple:
     except DomainError as exc:
         rep.entries = [("error", str(exc))]
         code = 2
-    if getattr(ns, "timing", False):
+    if ns.timing:
         rep.add("time-ms", round((time.perf_counter() - start) * 1000.0, 3))
     return rep, code
 
@@ -458,21 +458,13 @@ def _render(rep: Report, code: int, as_json: bool, batch: bool = False):
 
 
 def _parse_line(parser: argparse.ArgumentParser, commands: dict, tokens: list):
-    """parser.parse_args(tokens): the same Namespace, or the same exit with
-    the same output.  A line that starts with a subcommand goes straight to
-    that subcommand's parser, which skips the top parser's pass over it;
-    should that parser stop on the line (an error, or -h), its output is
-    dropped and the top parser reads the line as it always has."""
+    """parser.parse_args(tokens), parsed once: an argv that starts with a
+    subcommand by that subcommand's parser, whose usage errors then name
+    it (`chainpoly ant: error: ...`), any other argv by the top parser."""
     if tokens and tokens[0] in commands:
-        sink = io.StringIO()
-        try:
-            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-                ns = commands[tokens[0]].parse_args(tokens[1:])
-        except SystemExit:
-            pass
-        else:
-            ns.command, ns.batch = tokens[0], None
-            return ns
+        ns = commands[tokens[0]].parse_args(tokens[1:])
+        ns.command, ns.batch = tokens[0], None
+        return ns
     return parser.parse_args(tokens)
 
 
@@ -499,18 +491,25 @@ def _reuse_key(tokens: list, ns, files: dict):
     return tuple(tokens), raw
 
 
+def _batch_lines(path: str):
+    """A batch file's lines as bytes, each as it arrives; an OSError from
+    opening or reading the file is the last item."""
+    try:
+        with open(path, "rb") as fh:
+            for chunk in fh:
+                yield from chunk.splitlines()
+    except OSError as exc:
+        yield exc
+
+
 def _run_batch(parser: argparse.ArgumentParser, commands: dict, path: str) -> int:
     records = {}  # reuse key -> (printed record, exit code), oldest first
     files = {}  # poset file bytes -> the same bytes, oldest first
     worst = 0
-    try:
-        # bytes, so that an undecodable line fails on its own
-        with open(path, "rb") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        print(json.dumps({"error": str(exc)}))
-        return 2
-    for raw in lines:
+    for raw in _batch_lines(path):
+        if isinstance(raw, OSError):
+            print(json.dumps({"error": str(raw)}), flush=True)
+            return max(worst, 2)
         try:
             raw = raw.decode("utf-8").strip()
             if not raw:
@@ -520,18 +519,18 @@ def _run_batch(parser: argparse.ArgumentParser, commands: dict, path: str) -> in
                 isinstance(tok, str) for tok in tokens
             ):
                 raise ValueError("batch lines must be JSON arrays of strings")
-            if tokens and tokens[0] == "--batch":
-                raise ValueError("batch lines cannot nest --batch")
             # -h prints its help to stdout, usage errors to stderr: neither
             # may reach the JSONL stream
             sink = io.StringIO()
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                 ns = _parse_line(parser, commands, tokens)
+            if ns.batch is not None:
+                raise ValueError("batch lines cannot nest --batch")
             if ns.command is None:
                 raise ValueError("batch line is missing a subcommand")
         except (ValueError, RecursionError, SystemExit) as exc:
             msg = "bad arguments" if isinstance(exc, SystemExit) else str(exc)
-            print(json.dumps({"error": msg, "exit": 2}))
+            print(json.dumps({"error": msg, "exit": 2}), flush=True)
             worst = max(worst, 2)
             continue
         key = _reuse_key(tokens, ns, files)
@@ -544,7 +543,7 @@ def _run_batch(parser: argparse.ArgumentParser, commands: dict, path: str) -> in
                 records[key] = text, code
                 if len(records) > _MEMO_SIZE:
                     del records[next(iter(records))]
-        print(text)
+        print(text, flush=True)
         worst = max(worst, code)
     return worst
 
@@ -560,7 +559,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     rep, code = run_command(ns)
-    text, code = _render(rep, code, getattr(ns, "json", False))
+    text, code = _render(rep, code, ns.json)
     print(text)
     return code
 

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import re
+import select
 import subprocess
 import sys
 import tempfile
@@ -767,6 +769,48 @@ def test_batch_keeps_the_newest_records(tmp_path, capsys, monkeypatch):
     assert runs == ["ant", "nc", "words", "ant"]
 
 
+def test_batch_refuses_every_nested_batch(tmp_path, capsys):
+    # the refusal reads the parsed Namespace, so an abbreviated or joined
+    # --batch is refused as the plain one is
+    code, out = _batch(tmp_path, capsys, [
+        ["--batch", "x", "nc", "A3"], ["--batch=x", "nc", "A3"],
+        ["--bat", "x", "nc", "A3"], ["--batch", "x"], ["ant", "3", "1,2"],
+    ])
+    refusal = {"error": "batch lines cannot nest --batch", "exit": 2}
+    assert [json.loads(l) for l in out[:4]] == [refusal] * 4
+    assert json.loads(out[4])["coefficients"] == [1, 4, 1]
+    assert len(out) == 5 and code == 2
+
+
+def test_batch_file_that_cannot_be_read(tmp_path, capsys):
+    for path in (tmp_path / "missing.jsonl", tmp_path):
+        code = main(["--batch", str(path)])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 2 and len(out) == 1
+        assert list(json.loads(out[0])) == ["error"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_batch_streams_each_record_as_its_line_arrives():
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "chainpoly.cli", "--batch", "/dev/stdin"],
+        env={**os.environ, "PYTHONPATH": path},
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+    ) as proc:
+        try:
+            proc.stdin.write(b'["ant", "3", "1,2"]\n')
+            proc.stdin.flush()
+            # stdin is still open: the record must come before the writer closes
+            ready, _, _ = select.select([proc.stdout], [], [], 10)
+            assert ready, "no record before stdin closed"
+            assert json.loads(proc.stdout.readline())["coefficients"] == [1, 4, 1]
+            proc.stdin.close()
+            assert proc.wait(10) == 0
+        finally:
+            proc.kill()
+
+
 def test_poset_unhashable_element(tmp_path, capsys):
     path = tmp_path / "listy.json"
     path.write_text(json.dumps({"elements": [["a"], "b"], "covers": []}))
@@ -976,9 +1020,26 @@ PARSER, COMMANDS = cli.build_parser()
 @example(["ant", "3", "1,2", "--batch", "x"])
 @example(["--batch=x", "nc", "A3"])
 def test_parse_route_matches_the_top_parser(tokens):
-    # the same Namespace or exit code, and the same help or usage text
-    route = _parsed(lambda t: cli._parse_line(PARSER, COMMANDS, t), tokens)
-    assert route == _parsed(PARSER.parse_args, tokens)
+    # the same Namespace or exit code, and the same help or usage text; an
+    # argv that starts with a subcommand has an unrecognized argument
+    # reported by that subcommand's own parser
+    route, route_text = _parsed(lambda t: cli._parse_line(PARSER, COMMANDS, t), tokens)
+    top, top_text = _parsed(PARSER.parse_args, tokens)
+    assert route == top
+    unrecognized = re.search(r"error: unrecognized arguments: .*\n\Z", top_text)
+    if unrecognized and tokens[0] in COMMANDS:
+        assert route_text.endswith("chainpoly %s: %s" % (tokens[0], unrecognized[0]))
+    else:
+        assert route_text == top_text
+
+
+def test_unrecognized_argument_names_its_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ant", "3", "1,2", "--bogus"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert out.err.startswith("usage: chainpoly ant [-h] ")
+    assert out.err.endswith("\nchainpoly ant: error: unrecognized arguments: --bogus\n")
 
 
 bad_lines = st.sampled_from(
