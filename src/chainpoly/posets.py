@@ -30,12 +30,26 @@ is one in-place subset Moebius transform of that table, on whole slices
 per bit.  Rank selection
 as a poset keeps the elements whose rank lies in a chosen set and
 rebounds them between a virtual bottom and top.
+
+On the ranks where every lower interval [0-hat, y] is Boolean, as in a
+simplicial poset and below the top ``adjoin_max`` gives one, the chains
+are fixed by the level sizes f_r (Brenti and Welker): below an element
+of rank r lie C(r, q) elements of each rank q, each again with a Boolean
+interval below it.  So the chains through exactly the ranks
+s_1 < ... < s_k number alpha(S) = f_(s_k) C(s_k, s_(k-1)) ... C(s_2, s_1),
+and the three counts read those products instead of the chain sum.  One
+pass over the covers finds the lowest rank holding an element whose
+interval is not Boolean, by a local rule per element; the verdict is
+kept, weakly, as long as the poset lives, and ``adjoin_max`` hands its
+input's verdict to its result.  The chain sum stays the route of every
+other poset.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -272,6 +286,83 @@ class GradedBoundedPoset(Poset):
         return tuple(tuple(self._elements[i] for i in level) for level in self._levels)
 
 
+# verdicts keyed weakly, so a poset is freed once its last user drops it
+_VERDICTS = weakref.WeakKeyDictionary()
+
+
+def _boolean_rank(poset: GradedBoundedPoset) -> int:
+    """The lowest rank holding an element whose lower interval is not
+    Boolean, or rank + 1 when there is none; kept as long as the poset
+    lives."""
+    verdict = _VERDICTS.get(poset)
+    if verdict is None:
+        verdict = _VERDICTS[poset] = _boolean_intervals(poset)
+    return verdict
+
+
+def _boolean_intervals(poset: GradedBoundedPoset) -> int:
+    """_boolean_rank by a local rule per element, level by level.
+
+    Once every element of rank below r has a Boolean interval below it,
+    y of rank r has one exactly when 2^r elements (itself included) and
+    r atoms lie below it, and its covers carry r distinct atom sets.  The
+    rule is necessary; for sufficiency, the intervals below y's covers
+    are Boolean, so by the rule's atom count their atom sets are r
+    subsets of y's r atoms one smaller, and their subsets fill the proper
+    subsets of y's atoms.  The count 2^r then makes the atom set a
+    one-to-one map on the elements below y, so y covers exactly r
+    elements, and x <= z exactly when the atom set of x lies in that of
+    z: the order needs no separate check.  Down-sets and atom sets are
+    bitmasks, one OR per cover: O(covers).  Levels are a topological
+    order, and the pass stops at the first failure, at the lowest rank.
+    """
+    down = [0] * len(poset)
+    shadows = [[] for _ in down]  # atom sets of the elements y covers
+    succ = poset._succ
+    for r, level in enumerate(poset._levels):
+        for x in level:
+            below = shadows[x]
+            atoms = 1 << x if r == 1 else 0
+            for s in below:
+                atoms |= s
+            mask = down[x] | 1 << x
+            if (
+                len(set(below)) != r
+                or atoms.bit_count() != r
+                or mask.bit_count() != 1 << r
+            ):
+                return r
+            for y in succ[x]:
+                down[y] |= mask
+                shadows[y].append(atoms)
+    return len(poset._levels)
+
+
+def _level_sum(poset: GradedBoundedPoset, ranks: Sequence[int], width: int) -> int:
+    """Sum of alpha(S) x^|S| over the sets S of the given ascending ranks,
+    packed in slots of width bits, for ranks whose lower intervals are
+    Boolean.
+
+    The chains topped by one element of rank r, with ranks in the given
+    set, sum to g_r = x (1 + sum of C(r, q) g_q over the given q < r):
+    below the top, the next element is one of the C(r, q) elements of
+    rank q in the Boolean lattice [0-hat, y], and its own interval is
+    Boolean again.  Grouping chains by their top, the sum is 1 plus
+    f_r g_r over the given r.  Every slot of a g_r is at most the total's
+    slot, as f_r >= 1, so one width fits them all.
+    """
+    levels = poset._levels
+    total, tops = 1, []
+    for r in ranks:
+        g = 1
+        for q, below in tops:
+            g += math.comb(r, q) * below
+        g <<= width
+        tops.append((r, g))
+        total += len(levels[r]) * g
+    return total
+
+
 def _chain_width(n: int, h: int) -> int:
     """Bits of a slot for a count of chains of one size among n elements,
     none longer than h: C(n, k) bounds size k, growing up to k = n // 2."""
@@ -312,10 +403,19 @@ def chain_polynomial(poset: Poset) -> Poly:
     from the minimum through one element of each rank to a maximal
     element, all of rank n, so H = n + 1; other posets find H by a pass
     in topological order.
+
+    A graded bounded poset whose lower intervals are all Boolean, except
+    perhaps the top's when it is unique, reads the chains off its level
+    sizes (``_level_sum``).  A unique top lies above every other
+    element, so the chains are those below it, with or without the top:
+    (1 + x) times the level sum over the ranks below it.
     """
     n = len(poset)
+    level = False
     if isinstance(poset, GradedBoundedPoset):
         h = poset.rank + 1
+        top = len(poset._levels[-1]) == 1
+        level = _boolean_rank(poset) >= h - top
     else:
         size = [1] * n
         for i in poset._topo:
@@ -324,7 +424,13 @@ def chain_polynomial(poset: Poset) -> Poly:
                     size[j] = size[i] + 1
         h = max(size, default=0)
     width = _chain_width(n, h)
-    return Poly(_unpack(_chain_sum(poset, (1 << n) - 1, [width] * n), width, h + 1))
+    if level:
+        chains = _level_sum(poset, range(h - top), width)
+        if top:
+            chains += chains << width
+    else:
+        chains = _chain_sum(poset, (1 << n) - 1, [width] * n)
+    return Poly(_unpack(chains, width, h + 1))
 
 
 def order_h_polynomial(poset: Poset) -> Poly:
@@ -370,6 +476,11 @@ def adjoin_max(poset: GradedBoundedPoset) -> GradedBoundedPoset:
     n + 1.  Kahn's order is the input's plus n: the top is queued only
     when the last maximal element m is processed, and nothing follows m,
     since each non-maximal element lies below a maximal one after it.
+
+    Every old element keeps its lower interval, so the result takes the
+    input's Boolean-interval verdict.  The new top of rank r can have a
+    Boolean interval only when 2^r elements lie below it; only then does
+    the result check its top by its own pass.
     """
     top = _fresh_labels(poset.elements, ["^1"])[0]
     n = len(poset)
@@ -378,7 +489,7 @@ def adjoin_max(poset: GradedBoundedPoset) -> GradedBoundedPoset:
     for i in maxima:
         succ[i] = (n,)
     bit = 1 << n
-    return _derived(
+    out = _derived(
         poset.elements + (top,),
         poset._pairs + [(i, n) for i in maxima],
         tuple(succ) + ((),),
@@ -386,6 +497,10 @@ def adjoin_max(poset: GradedBoundedPoset) -> GradedBoundedPoset:
         tuple([u | bit for u in poset._up]) + (0,),
         poset._rank + [poset.rank + 1],
     )
+    verdict = _boolean_rank(poset)
+    if verdict <= poset.rank or n + 1 != 1 << out.rank:
+        _VERDICTS[out] = verdict
+    return out
 
 
 def _selection(poset: GradedBoundedPoset, t: Iterable) -> list:
@@ -530,13 +645,30 @@ def flag_vectors(poset: GradedBoundedPoset) -> FlagVectors:
     Rank r shifts by width * 2^(r-1), so a chain through the ranks S
     lands in the slot of S's bitmask and that slot is alpha(S); ranks
     rise along a chain, so no other chain shares it.
+
+    When every proper rank has Boolean lower intervals, alpha is read off
+    the level sizes instead.  A chain through s_1 < ... < s_k picks its
+    top among the f_(s_k) elements of rank s_k, then each element below
+    the last among the C(s_(j+1), s_j) elements of rank s_j in the
+    Boolean interval below it: alpha(S) = f_(s_k) times the product of
+    those binomials.  The sets with top rank r are the sets L of lower
+    ranks plus r, and their product is the product of L times C(r, max L),
+    with C(r, 0) = 1 for the empty L.
     """
     levels = poset._levels[1:-1]
-    keep = sum(1 << i for level in levels for i in level)
-    width = _chain_width(keep.bit_count(), len(levels))
-    # the extreme ranks are not kept, so their shifts are never read
-    shift = [width << r >> 1 for r in poset._rank]
-    alpha = _unpack(_chain_sum(poset, keep, shift), width, 1 << len(levels))
+    if _boolean_rank(poset) > len(levels):
+        prod = [1]
+        for r in range(1, len(levels) + 1):
+            row = [math.comb(r, q) for q in range(r)]
+            prod += [row[low.bit_length()] * p for low, p in enumerate(prod)]
+        sizes = [len(level) for level in poset._levels]
+        alpha = [sizes[s.bit_length()] * p for s, p in enumerate(prod)]
+    else:
+        keep = sum(1 << i for level in levels for i in level)
+        width = _chain_width(keep.bit_count(), len(levels))
+        # the extreme ranks are not kept, so their shifts are never read
+        shift = [width << r >> 1 for r in poset._rank]
+        alpha = _unpack(_chain_sum(poset, keep, shift), width, 1 << len(levels))
     return FlagVectors(poset.rank - 1, alpha, _moebius(list(alpha)))
 
 
@@ -548,12 +680,20 @@ def rank_selected_h(poset: GradedBoundedPoset, t: Iterable) -> Poly:
     cross-check it against the chain polynomial of the proper part of
     rank_selected(poset, t) and against chains counted by rank set with
     ``less`` on every pair.
+
+    Each chain has exactly one rank set S within t, so the f-vector is
+    the sum of alpha(S) x^|S| over the subsets S of t.  When every rank
+    in t has Boolean lower intervals, that is the level sum over t;
+    otherwise the chain sum over the elements of those ranks.
     """
     sel = _selection(poset, t)
-    keep = sum(1 << i for r in sel for i in poset._levels[r])
-    width = _chain_width(keep.bit_count(), len(sel))
-    f = _unpack(_chain_sum(poset, keep, [width] * len(poset)), width, len(sel) + 1)
-    return h_from_f(Poly(f), len(sel))
+    width = _chain_width(sum(len(poset._levels[r]) for r in sel), len(sel))
+    if _boolean_rank(poset) > max(sel, default=0):
+        f = _level_sum(poset, sel, width)
+    else:
+        keep = sum(1 << i for r in sel for i in poset._levels[r])
+        f = _chain_sum(poset, keep, [width] * len(poset))
+    return h_from_f(Poly(_unpack(f, width, len(sel) + 1)), len(sel))
 
 
 def load_poset(path: str):

@@ -1,30 +1,29 @@
 """Simplicial posets: builders, h-vectors and the descent-class route.
 
 A graded bounded poset is simplicial when every lower interval [0-hat, y]
-is a Boolean lattice; the check is a local rule per element, two counts
-and the atom sets of its covers, read off bitmasks that one pass over
-the covers in topological order builds, and its verdict lives as long
-as the poset does.  The builders number their elements by integer
-codes, bitmasks of vertices for face posets and base r + 1 digits for
-colored subsets, and find each element's covers by clearing one vertex
-or digit of its code.  For such posets of rank n the h-vector comes from
-the level counts, and the flag beta vector factors through descent
-classes of permutations of n+1 letters: beta(S) equals the sum over k of
-h_k times the number of w in S_(n+1) with last letter k+1 whose ascent
-set is exactly S.  Each class is the top coefficient of an entry of one
-packed first-letter row of ``descents``.
+is a Boolean lattice.  The check is the Boolean-interval pass of
+``posets``, a local rule per element read off bitmasks built in one pass
+over the covers, whose verdict the chain counts there read too and
+which lives as long as the poset does.  The builders number their
+elements by integer codes, bitmasks of vertices for face posets and
+base r + 1 digits for colored subsets, and find each element's covers
+by clearing one vertex or digit of its code.  For such posets of rank
+n the h-vector comes from the level counts, and the flag beta vector
+factors through descent classes of permutations of n+1 letters: beta(S)
+equals the sum over k of h_k times the number of w in S_(n+1) with last
+letter k+1 whose ascent set is exactly S.  Each class is the top
+coefficient of an entry of one packed first-letter row of ``descents``.
 """
 
 from __future__ import annotations
 
-import weakref
 from itertools import combinations, product
 from typing import Iterable
 
 from .descents import _packed_first_letter_row
 from .errors import DomainError, GradedStructureError
 from .polynomials import Poly, h_from_f
-from .posets import GradedBoundedPoset
+from .posets import GradedBoundedPoset, _boolean_rank
 
 
 def boolean_lattice(n: int) -> GradedBoundedPoset:
@@ -120,58 +119,28 @@ def face_poset(facets: Iterable) -> GradedBoundedPoset:
     return GradedBoundedPoset._from_pairs(elements, pairs)
 
 
-# verdicts keyed weakly, so a poset is freed once its last user drops it
-_SIMPLICIAL = weakref.WeakKeyDictionary()
-
-
 def is_simplicial(poset: GradedBoundedPoset) -> bool:
     """Whether every lower interval is Boolean, by a local rule per element.
 
     Each y of rank r must have 2^r elements below it (itself included),
     r atoms below it, and r distinct atom sets among the elements it
-    covers.  By induction on rank, those are the r subsets of y's atoms
-    one smaller, whose subsets fill the proper subsets of y's atoms; the
-    count 2^r then makes the atom set a one-to-one map on the elements
-    below y, so y covers exactly r elements, and x <= z exactly when the
-    atom set of x lies in that of z: the order needs no separate check.
-    Down-sets and atom sets are bitmasks, one OR per cover: O(covers).
-    The verdict is remembered as long as the poset lives.
+    covers; ``posets`` proves the rule, checks it in one O(covers) pass
+    over the covers, and keeps its verdict as long as the poset lives,
+    so the chain counts of ``posets`` and this test share one pass.
     """
-    verdict = _SIMPLICIAL.get(poset)
-    if verdict is None:
-        verdict = _SIMPLICIAL[poset] = _boolean_intervals(poset)
-    return verdict
-
-
-def _boolean_intervals(poset: GradedBoundedPoset) -> bool:
-    # in topological order every element's down-set and atom set are
-    # complete, and checked, before they pass to the elements covering it
-    down = [1 << y for y in range(len(poset))]
-    shadows = [[] for _ in down]  # atom sets of the elements y covers
-    rank, succ = poset._rank, poset._succ
-    for x in poset._topo:
-        r, below = rank[x], shadows[x]
-        atoms = 1 << x if r == 1 else 0
-        for s in below:
-            atoms |= s
-        if (
-            len(set(below)) != r
-            or atoms.bit_count() != r
-            or down[x].bit_count() != 1 << r
-        ):
-            return False
-        for y in succ[x]:
-            down[y] |= down[x]
-            shadows[y].append(atoms)
-    return True
+    return _boolean_rank(poset) > poset.rank
 
 
 def simplicial_h(poset: GradedBoundedPoset) -> Poly:
     """h-polynomial of a simplicial poset of rank n from its level counts.
 
-    The face counts f_(j-1) are the level sizes; h is their (1-x) binomial
-    transform at degree n.
+    Each element of rank j is a face with j vertices, its lower interval
+    the Boolean lattice of its vertex set, so the face counts f_(j-1)
+    are the level sizes and h is their (1-x) binomial transform at
+    degree n.  Other posets have no such faces: DomainError.
     """
+    if not is_simplicial(poset):
+        raise DomainError("poset is not simplicial")
     n = poset.rank
     f = Poly([len(level) for level in poset._levels])
     return h_from_f(f, n)
@@ -193,9 +162,7 @@ def stanley_flag_beta(poset: GradedBoundedPoset, s: Iterable) -> int:
     if any(type(r) is not int or r < 1 or r > n for r in s):
         raise DomainError("rank subset must lie in 1..%d" % n)
     s = frozenset(s)
-    if not is_simplicial(poset):
-        raise DomainError("poset is not simplicial")
-    h = simplicial_h(poset).coeffs
+    h = simplicial_h(poset).coeffs  # DomainError unless simplicial
     row, width = _packed_first_letter_row(n, frozenset(n + 1 - r for r in s))
     top = width * len(s)
     return sum(hk * (p >> top) for hk, p in zip(h, row))

@@ -13,9 +13,9 @@ consecutive ranks, independent of Carter's formula and of the upward
 walk in ``chainpoly.coxeter``.  The walk oracle is that upward walk with
 an absolute length computed for every candidate reflection, where the
 package decides each candidate from the cycles of one element.  The
-simplicial oracle compares the order with atom-set containment on every
-pair below each element, where the package checks the covers of each
-element, and the subposet oracle finds covers by testing every pair of
+Boolean-interval oracle compares the order with atom-set containment on
+every pair below each element, where the package checks the covers of
+each element, and the subposet oracle finds covers by testing every pair of
 kept elements.  The rank-selection oracle compares every pair of
 consecutive selected levels, and the face-poset and colored-subset
 oracles test every pair of sets; the package reads the first from
@@ -310,10 +310,11 @@ def noncrossing_lattice_walk(g) -> GradedBoundedPoset:
     return GradedBoundedPoset._from_pairs(elements, pairs)
 
 
-def is_simplicial_pairwise(poset: GradedBoundedPoset) -> bool:
-    """Whether every lower interval is Boolean: the counts and distinct
-    atom sets below each y, and order agreeing with atom-set containment
-    on every pair below y."""
+def boolean_rank_pairwise(poset: GradedBoundedPoset) -> int:
+    """The lowest rank of an element y whose lower interval is not
+    Boolean, rank + 1 when there is none: the counts and distinct atom
+    sets below each y, and order agreeing with atom-set containment on
+    every pair below y."""
     n_elem = len(poset)
     up = poset._up
     atoms = [poset.index(a) for a in poset.levels[1]] if poset.rank >= 1 else []
@@ -322,8 +323,8 @@ def is_simplicial_pairwise(poset: GradedBoundedPoset) -> bool:
         for k, a in enumerate(atoms):
             if a == i or (up[a] >> i) & 1:
                 coord[i] |= 1 << k
-    for y in range(n_elem):
-        r = poset.rank_of(poset.elements[y])
+
+    def boolean(y, r):
         below = [x for x in range(n_elem) if (up[x] >> y) & 1] + [y]
         if len(below) != 1 << r or bin(coord[y]).count("1") != r:
             return False
@@ -335,7 +336,17 @@ def is_simplicial_pairwise(poset: GradedBoundedPoset) -> bool:
                 related = x == z or (up[x] >> z) & 1 == 1
                 if contained != related:
                     return False
-    return True
+        return True
+
+    ranks = [poset.rank_of(y) for y in poset.elements]
+    return min(
+        [r for y, r in enumerate(ranks) if not boolean(y, r)], default=poset.rank + 1
+    )
+
+
+def is_simplicial_pairwise(poset: GradedBoundedPoset) -> bool:
+    """Whether every lower interval is Boolean, pair by pair."""
+    return boolean_rank_pairwise(poset) > poset.rank
 
 
 def cover_check_pairwise(elements, covers):

@@ -1,7 +1,10 @@
+import gc
 import json
 import math
 import random
+import weakref
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,14 +27,17 @@ from chainpoly import (
     face_poset,
     flag_vectors,
     h_from_f,
+    is_simplicial,
     load_poset,
     noncrossing_lattice,
     order_h_polynomial,
     rank_selected,
     rank_selected_h,
 )
-from chainpoly.posets import _moebius
+from chainpoly import posets
+from chainpoly.posets import _boolean_rank, _moebius
 from oracles import (
+    boolean_rank_pairwise,
     chain_polynomial_pairwise,
     cover_check_pairwise,
     flag_alpha_pairwise,
@@ -39,7 +45,7 @@ from oracles import (
     moebius_oracle,
     subposet_pairwise,
 )
-from test_simplicial import random_graded_poset
+from test_simplicial import boundary_cases, random_complex, random_graded_poset
 
 
 def brute_chain_polynomial(poset):
@@ -547,6 +553,135 @@ def test_flags_and_rank_selection_match_pairwise_oracles(poset, top):
         if n <= 8:
             sel = rank_selected(poset, t).proper_part()
             assert h == h_from_f(chain_polynomial_pairwise(sel), len(t)), t
+
+
+def by_chain_sum(fn, *args):
+    """fn with no rank reported Boolean, so it takes the chain sum: the
+    oracle of the level route."""
+    with mock.patch.object(posets, "_boolean_rank", lambda poset: 0):
+        return fn(*args)
+
+
+def random_face_poset(seed, dim, extra):
+    return face_poset(random_complex(random.Random(seed), dim + 1 + extra, dim))
+
+
+BOUNDARY = boundary_cases()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        st.builds(random_face_poset, st.integers(0, 2 ** 32), st.integers(0, 3),
+                  st.integers(0, 3)),
+        st.builds(boolean_lattice, st.integers(0, 6)),
+        st.builds(colored_subset_poset, st.integers(0, 3), st.integers(1, 3)),
+        st.sampled_from(sorted(BOUNDARY)).map(BOUNDARY.get),
+    ),
+    st.booleans(),
+)
+@example(BOUNDARY["double"], False)
+@example(BOUNDARY["double"], True)
+@example(BOUNDARY["shared"], False)
+@example(BOUNDARY["shared"], True)
+@example(BOUNDARY["pillow"], False)
+@example(BOUNDARY["pillow"], True)
+@example(boolean_lattice(6), True)
+@example(face_poset([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]), True)
+def test_level_route_matches_chain_sum(poset, top):
+    """Chain polynomials, whole alpha and beta tables and rank_selected_h
+    for every T equal the chain sum's, on simplicial posets and on the
+    shared and pillow posets, Boolean below their non-Boolean top, each
+    with and without a top adjoined; adjoin_max hands over the verdict
+    the pairwise oracle finds.  The tetrahedron boundary's adjoined top
+    is Boolean: it checks its own top."""
+    if top:
+        poset = adjoin_max(poset)
+    assert _boolean_rank(poset) == boolean_rank_pairwise(poset)
+    assert chain_polynomial(poset) == by_chain_sum(chain_polynomial, poset)
+    fv = flag_vectors(poset)
+    assert fv == by_chain_sum(flag_vectors, poset)
+    for t in fv.subsets():
+        assert rank_selected_h(poset, t) == by_chain_sum(rank_selected_h, poset, t), t
+
+
+def counting(monkeypatch, name):
+    """Replace posets.<name> by a wrapper counting its calls."""
+    calls = []
+    real = getattr(posets, name)
+
+    def spy(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(posets, name, spy)
+    return calls
+
+
+def test_level_route_taken_where_intervals_are_boolean(monkeypatch):
+    """Simplicial posets, with or without a top, and posets Boolean below
+    a unique top run no chain sum; noncrossing lattices, Boolean only up
+    to rank 1, and a top adjoined to a non-simplicial poset do."""
+    sums = counting(monkeypatch, "_chain_sum")
+    simplicial = [boolean_lattice(4), colored_subset_poset(3, 2), BOUNDARY["double"],
+                  face_poset([(1, 2, 3), (2, 3, 4), (4, 5, 6)])]
+    for p in simplicial + [adjoin_max(p) for p in simplicial]:
+        chain_polynomial(p)
+        fv = flag_vectors(p)
+        for t in fv.subsets():
+            rank_selected_h(p, t)
+    for p in BOUNDARY["shared"], BOUNDARY["pillow"]:
+        assert not is_simplicial(p)
+        chain_polynomial(p)
+        flag_vectors(p)
+    assert sums == []
+    for family, k in ("A", 3), ("A", 4), ("A", 5), ("B", 3):
+        lattice = noncrossing_lattice(build_reflection_group(CoxeterType(family, k)))
+        assert _boolean_rank(lattice) == 2 < lattice.rank
+        assert chain_polynomial(lattice) == chain_polynomial_pairwise(lattice)
+        assert flag_vectors(lattice)._alpha == flag_alpha_pairwise(lattice)
+        assert sums.count(lattice) == 2
+    for p in BOUNDARY["shared"], BOUNDARY["pillow"]:
+        hat = adjoin_max(p)
+        assert chain_polynomial(hat) == chain_polynomial_pairwise(hat)
+        assert flag_vectors(hat)._alpha == flag_alpha_pairwise(hat)
+        assert sums.count(hat) == 2
+
+
+@pytest.mark.parametrize("adjoin_first", [False, True])
+def test_one_boolean_pass_per_poset(monkeypatch, adjoin_first):
+    """A poset's chain polynomial, the flags and three rank selections of
+    it with a top adjoined, and the simplicial test make one pass in all,
+    whichever of the poset and its extension is built first."""
+    passes = counting(monkeypatch, "_boolean_intervals")
+    inputs = [boolean_lattice(5), colored_subset_poset(3, 2),
+              face_poset([(1, 2, 3), (2, 3, 4), (3, 4, 5), (1, 4, 5)])]
+    for p in inputs:
+        hat = adjoin_max(p) if adjoin_first else None
+        chain_polynomial(p)
+        if hat is None:
+            hat = adjoin_max(p)
+        flag_vectors(hat)
+        for t in [1], [1, 2], [2, 3]:
+            rank_selected_h(hat, t)
+        assert is_simplicial(p)
+    assert passes == inputs
+
+
+def test_verdict_store_frees_dropped_posets():
+    """2 000 posets built, counted and dropped leave no verdict behind."""
+    gc.collect()
+    before = len(posets._VERDICTS)
+    refs = []
+    for k in range(2000):
+        p = face_poset([(k, k + 1, k + 2), (k + 1, k + 2, k + 3)])
+        chain_polynomial(p)
+        flag_vectors(adjoin_max(p))
+        refs.append(weakref.ref(p))
+    del p
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert len(posets._VERDICTS) <= before
 
 
 @given(st.integers(0, 12), st.integers(0, 2 ** 32), st.integers(1, 200))

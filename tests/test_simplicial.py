@@ -127,7 +127,8 @@ def test_is_simplicial():
     assert is_simplicial(double)
 
 
-def test_is_simplicial_boundary_cases():
+def boundary_cases():
+    """The shared, double and pillow posets, by name."""
     # y passes both counts, 8 elements and 3 atoms below it, and covers 3
     # elements, but two of them share the atom set {a, b}: [0, y] is not
     # Boolean
@@ -154,9 +155,14 @@ def test_is_simplicial_boundary_cases():
     pillow = GradedBoundedPoset(
         [0, *"abcd", *edges, *triangles, "z"], covers
     )
-    for poset, verdict in [(shared, False), (double, True), (pillow, False)]:
-        assert is_simplicial(poset) is verdict
-        assert is_simplicial_pairwise(poset) is verdict
+    return {"shared": shared, "double": double, "pillow": pillow}
+
+
+def test_is_simplicial_boundary_cases():
+    cases = boundary_cases()
+    for name, verdict in [("shared", False), ("double", True), ("pillow", False)]:
+        assert is_simplicial(cases[name]) is verdict
+        assert is_simplicial_pairwise(cases[name]) is verdict
 
 
 def test_is_simplicial_matches_pairwise_oracle():
@@ -263,6 +269,19 @@ def test_simplicial_h_values():
     for n, r in [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]:
         expect = Poly([1, r - 1]) ** n
         assert simplicial_h(colored_subset_poset(n, r)) == expect
+
+
+def test_simplicial_h_rejects_non_simplicial_posets():
+    # NC(A3) has five elements below each rank-2 element of type A2: its
+    # level counts give no h-vector (they read 1, 3, -3)
+    from chainpoly import CoxeterType, build_reflection_group, noncrossing_lattice
+
+    nc = noncrossing_lattice(build_reflection_group(CoxeterType("A", 3)))
+    cases = boundary_cases()
+    for poset in nc, cases["shared"], cases["pillow"]:
+        with pytest.raises(DomainError, match="poset is not simplicial"):
+            simplicial_h(poset)
+    assert simplicial_h(cases["double"]) == Poly([1, 0, 1])
 
 
 def test_colored_subset_poset_levels():
